@@ -15,16 +15,18 @@ using namespace fmossim::bench;
 int main() {
   banner("Ablation: fault dropping on/off (RAM64, sequence 1)");
 
-  const RamCircuit ram = buildRam(ram64Config());
-  const FaultList faults = paperFaultUniverse(ram);
-  const TestSequence seq = ramTestSequence1(ram);
+  // The workload is the registry's "ram64_seq1" scenario — the same bytes
+  // the BENCH_ram64_seq1.json harness rows measure.
+  const perf::Workload w = perf::buildScenarioWorkload("ram64_seq1");
+  const FaultList& faults = w.faults;
+  const TestSequence& seq = w.seq;
 
   EngineOptions dropOff = paperEngineOptions();
   dropOff.dropDetected = false;
 
-  Engine engineOn(ram.net, faults, paperEngineOptions());
+  Engine engineOn(w.net, faults, paperEngineOptions());
   const FaultSimResult on = engineOn.run(seq);
-  Engine engineOff(ram.net, faults, dropOff);
+  Engine engineOff(w.net, faults, dropOff);
   const FaultSimResult off = engineOff.run(seq);
 
   std::printf("  %-22s %14s %16s %14s\n", "configuration", "total (s)",

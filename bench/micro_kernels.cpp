@@ -11,6 +11,7 @@
 #include "switch/logic_sim.hpp"
 #include "switch/solver.hpp"
 #include "switch/vicinity.hpp"
+#include "util/strings.hpp"
 
 namespace fmossim {
 namespace {
@@ -86,7 +87,7 @@ void BM_VicinityGrow(benchmark::State& state) {
   const NodeId g = b.addInput("g");
   NodeId prev = b.addInput("d");
   for (int i = 0; i < state.range(0); ++i) {
-    const NodeId next = b.addNode("n" + std::to_string(i));
+    const NodeId next = b.addNode(format("n%d", i));
     cells.pass(g, prev, next);
     prev = next;
   }

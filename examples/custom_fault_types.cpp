@@ -133,7 +133,7 @@ int main() {
       p.label = "drive src " + std::to_string(src);
       seq.addPattern(std::move(p));
     }
-    Engine engine(bus.net, faults, {.backend = Backend::Concurrent});
+    Engine engine(bus.net, faults);  // default backend: concurrent
     const FaultSimResult res = engine.run(seq);
     std::printf("  coverage %.1f%% (%u/%u) after %u patterns, %llu potential\n",
                 100.0 * res.coverage(), res.numDetected, res.numFaults,

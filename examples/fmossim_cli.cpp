@@ -11,7 +11,8 @@
 //   fmossim_cli bench [--json] [--smoke] ...     (performance harness)
 //   fmossim_cli serve --socket PATH ...          (fault-simulation daemon)
 //   fmossim_cli loadgen (--socket PATH | --inproc) ...  (service load test)
-//   fmossim_cli --help                           (full subcommand summary)
+//   fmossim_cli seu ...                          (transient-fault grading)
+//   fmossim_cli [<subcommand>] --help            (flags of one subcommand)
 //
 // The fuzz subcommand generates seeded random switch-level workloads
 // (src/gen/random_circuit.hpp) and cross-checks the serial, concurrent and
@@ -23,8 +24,7 @@
 // (src/perf/): the named scenario matrix of docs/BENCHMARKING.md with
 // warmup + repetition, writing schema-versioned BENCH_<scenario>.json files
 // with --json, and gating fresh results against checked-in baselines with
-// --check (the CI perf-regression gate; see docs/BENCHMARKING.md). Unknown
-// subcommands are an error (exit 2).
+// --check (the CI perf-regression gate; see docs/BENCHMARKING.md).
 //
 // The serve subcommand turns the simulator into a long-lived daemon: a
 // persistent engine pool over a shared good-machine checkpoint store, a
@@ -35,21 +35,27 @@
 // verifies every response against a direct Engine run bit for bit, and
 // emits BENCH_serve_mixed.json with --json.
 //
-// Defaults: --backend concurrent, --jobs 1, --policy definite (a tester
-// cannot distinguish an X from a driven value; pass --policy any for the
-// paper's literal "any difference" criterion). --compare runs both backends
-// and fails on any detection disagreement.
+// Every subcommand declares its flags as one table (name, value kind,
+// destination, help line); one loop parses argv against it and --help is
+// generated from it, so the help cannot drift from the accepted flags.
+// Exit codes: 0 success, 1 simulation failure or failed check, 2 invalid
+// invocation (unknown subcommand or flag, missing or malformed flag value,
+// malformed input file).
 //
 // Input formats are documented in src/netlist/sim_format.hpp,
 // src/patterns/sequence_io.hpp, and src/faults/fault_spec.hpp.
 #include <algorithm>
-#include <cerrno>
+#include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <functional>
 #include <limits>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <vector>
 
 #include "api/engine.hpp"
 #include "core/estimator.hpp"
@@ -76,142 +82,256 @@ using namespace fmossim;
 
 namespace {
 
-void printUsage(std::FILE* to, const char* argv0) {
-  std::fprintf(to,
-               "usage: %s (--sim FILE | --bench FILE | --demo) --seq FILE "
-               "--faults FILE\n"
-               "          [--backend serial|concurrent (default: concurrent)]\n"
-               "          [--jobs N        parallel workers (concurrent "
-               "backend only)]\n"
-               "          [--batch-faults N  sharded fault-batch size "
-               "(default: auto)]\n"
-               "          [--lane-width N  word-lane fault batching width "
-               "(power of two\n"
-               "                           in [1, 32], default 1; "
-               "bit-identical results)]\n"
-               "          [--checkpoint-budget SIZE  good-machine checkpoint "
-               "memory budget\n"
-               "                           (bytes, k/m/g suffix; 0 = "
-               "unbounded; jobs > 1 only —\n"
-               "                           spills the trace to disk and "
-               "replays a sliding window)]\n"
-               "          [--schedule contiguous|history  sharded batch "
-               "layout (default:\n"
-               "                           contiguous; history co-batches "
-               "hard-to-detect faults\n"
-               "                           from a recorded run; results "
-               "bit-identical)]\n"
-               "          [--history-file PATH  detection-history sidecar: "
-               "read by\n"
-               "                           --schedule history, refreshed "
-               "after sharded runs]\n"
-               "          [--policy any|definite (default: definite)]\n"
-               "          [--no-drop] [--csv FILE] [--compare] [--quiet]\n"
-               "       %s fuzz --seeds N    differential fuzzing campaign "
-               "(see %s fuzz --help)\n"
-               "       %s bench [--json]    performance harness over the "
-               "scenario matrix\n"
-               "                            (see %s bench --help)\n"
-               "       %s serve --socket PATH   long-lived fault-simulation "
-               "daemon\n"
-               "                            (see %s serve --help)\n"
-               "       %s loadgen (--socket PATH | --inproc)   service load "
-               "generator\n"
-               "                            (see %s loadgen --help)\n"
-               "       %s seu ...           transient-fault (SEU) grading "
-               "campaign\n"
-               "                            (see %s seu --help)\n"
-               "       %s --help            this summary\n"
-               "\n"
-               "subcommands:\n"
-               "  fuzz    seeded random workloads cross-checked serial vs "
-               "concurrent vs sharded;\n"
-               "          divergences are shrunk to minimized seed "
-               "reproducers\n"
-               "  bench   reproducible benchmark runs (warmup + reps + "
-               "median/stddev), writing\n"
-               "          schema-versioned BENCH_<scenario>.json files with "
-               "--json\n"
-               "  serve   engine-pool daemon speaking newline-delimited JSON "
-               "over a Unix\n"
-               "          socket (submit/status/result/cancel/stats/shutdown; "
-               "docs/SERVICE.md)\n"
-               "  loadgen zipf-skewed mixed-tenant replay against a daemon, "
-               "verifying every\n"
-               "          response against a direct engine run; --json writes "
-               "BENCH_serve_mixed.json\n"
-               "  seu     transient-fault grading: bit-flips at chosen "
-               "instants, classified\n"
-               "          detected/silent/latent by replaying checkpointed "
-               "good-machine tails\n",
-               argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0,
-               argv0, argv0, argv0);
+// ------------------------------------------------------------ flag tables ---
+
+constexpr std::uint64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
+constexpr std::uint64_t kMaxThreads = 1u << 16;  // jobs, pool, workers
+constexpr std::uint64_t kMaxQueue = 1u << 20;    // queue, store entries
+
+/// One row of a subcommand's flag table. `value` is the placeholder shown in
+/// --help ("" for a switch, which takes no value). `set` is the value kind's
+/// strict parse-and-store: it returns "" on success, else what the value
+/// should have been, reported as "invalid value 'V' for --flag (want ...)".
+struct Flag {
+  std::string name;
+  std::string value;
+  std::string help;
+  std::function<std::string(const char*)> set;
+};
+
+/// A subcommand's usage: synopsis (after "usage: <command> "), flag table
+/// and a prose footer.
+struct FlagTable {
+  std::string synopsis;
+  std::vector<Flag> flags;
+  std::string footer;
+};
+
+/// The invocation as a subcommand sees it.
+struct Cli {
+  const char* argv0;
+  std::string command;            ///< argv0 plus the subcommand name, if any
+  std::vector<const char*> args;  ///< arguments after the subcommand name
+};
+
+// Destinations may be optional (unset = "not given"); values are stored
+// into the underlying type.
+template <class D> struct Underlying { using type = D; };
+template <class D> struct Underlying<std::optional<D>> { using type = D; };
+
+template <class D> void store(D& dest, std::uint64_t v) {
+  dest = static_cast<typename Underlying<D>::type>(v);
 }
 
-int usage(const char* argv0) {
-  printUsage(stderr, argv0);
+/// Switch: no value; sets `dest` to true.
+Flag switchFlag(const char* name, bool& dest, const char* help) {
+  return {name, "", help, [&dest](const char*) {
+            dest = true;
+            return std::string();
+          }};
+}
+
+/// String: stored as given; a vector destination makes the flag repeatable.
+template <class D>
+Flag stringFlag(const char* name, D& dest, const char* value,
+                const char* help) {
+  return {name, value, help, [&dest](const char* text) {
+            if constexpr (std::is_same_v<D, std::vector<std::string>>) {
+              dest.emplace_back(text);
+            } else {
+              dest = text;
+            }
+            return std::string();
+          }};
+}
+
+/// Non-negative integer in [lo, max]; the count kind is lo = 1.
+template <class D>
+Flag integerFlag(const char* name, D& dest, std::uint64_t lo, std::uint64_t max,
+                 const char* value, const char* help) {
+  return {name, value, help, [&dest, lo, max](const char* text) {
+            const ParsedNumber n = parseDecimal(text, max);
+            if (n.status != NumberStatus::Ok || n.value < lo) {
+              return format("an integer in [%llu, %llu]",
+                            static_cast<unsigned long long>(lo),
+                            static_cast<unsigned long long>(max));
+            }
+            store(dest, n.value);
+            return std::string();
+          }};
+}
+
+/// Count: an integer in [1, max] — zero, garbage and overflow are errors,
+/// never a silently clamped or truncated count.
+template <class D>
+Flag countFlag(const char* name, D& dest, std::uint64_t max, const char* help) {
+  FMOSSIM_ASSERT(max <= std::numeric_limits<typename Underlying<D>::type>::max(),
+                 "count cap exceeds its destination type");
+  return integerFlag(name, dest, 1, max, "N", help);
+}
+
+/// u64: any non-negative integer that fits the destination (seeds, and
+/// counts where 0 means "off").
+template <class D>
+Flag u64Flag(const char* name, D& dest, const char* value, const char* help) {
+  return integerFlag(
+      name, dest, 0,
+      std::numeric_limits<typename Underlying<D>::type>::max(), value, help);
+}
+
+/// Byte size: plain bytes or a k/m/g suffix (binary units), range-checked
+/// so a suffix shift can never wrap into a silently truncated budget.
+template <class D>
+Flag byteSizeFlag(const char* name, D& dest, const char* help) {
+  return {name, "SIZE", help, [&dest](const char* text) {
+            std::string_view digits = text;
+            unsigned shift = 0;
+            if (!digits.empty()) {
+              switch (std::tolower(static_cast<unsigned char>(digits.back()))) {
+                case 'k': shift = 10; break;
+                case 'm': shift = 20; break;
+                case 'g': shift = 30; break;
+                default: break;
+              }
+            }
+            if (shift != 0) digits.remove_suffix(1);
+            const ParsedNumber n = parseDecimal(
+                digits, std::numeric_limits<std::size_t>::max() >> shift);
+            if (n.status != NumberStatus::Ok) {
+              return std::string("a byte count with an optional k/m/g suffix");
+            }
+            store(dest, n.value << shift);
+            return std::string();
+          }};
+}
+
+/// Finite non-negative double: NaN and infinity are refused, since either
+/// would silently disable the comparison the value feeds.
+Flag doubleFlag(const char* name, double& dest, const char* value,
+                const char* help) {
+  return {name, value, help, [&dest](const char* text) {
+            char* end = nullptr;
+            const double v = std::strtod(text, &end);
+            if (end == text || *end != '\0' ||
+                std::isspace(static_cast<unsigned char>(*text)) ||
+                !std::isfinite(v) || v < 0.0) {
+              return std::string("a finite number >= 0");
+            }
+            dest = v;
+            return std::string();
+          }};
+}
+
+/// Choice: one of the names `parse` accepts (listed as `names`, a|b).
+template <class D, class Parse>
+Flag choiceFlag(const char* name, D& dest, Parse parse, const char* names,
+                const char* help) {
+  return {name, names, help, [&dest, parse, names](const char* text) {
+            const auto v = parse(text);
+            if (!v) return std::string("one of ") + names;
+            dest = *v;
+            return std::string();
+          }};
+}
+
+/// Lane width: a power of two in [1, 32]. Lane words pack 2-bit states, so
+/// only power-of-two widths align fault windows.
+template <class D>
+Flag laneWidthFlag(const char* name, D& dest, const char* help) {
+  return {name, "N", help, [&dest](const char* text) {
+            const ParsedNumber n = parseDecimal(text, 32);
+            if (n.status != NumberStatus::Ok || n.value == 0 ||
+                (n.value & (n.value - 1)) != 0) {
+              return std::string("a power of two in [1, 32]");
+            }
+            store(dest, n.value);
+            return std::string();
+          }};
+}
+
+std::optional<Backend> parseBackend(const std::string& text) {
+  if (text == "concurrent") return Backend::Concurrent;
+  if (text == "serial") return Backend::Serial;
+  return std::nullopt;
+}
+
+std::vector<Flag> concat(std::vector<Flag> a, std::vector<Flag> b) {
+  for (Flag& f : b) a.push_back(std::move(f));
+  return a;
+}
+
+void printUsage(std::FILE* to, const Cli& cli, const FlagTable& table) {
+  std::fprintf(to, "usage: %s %s\n", cli.command.c_str(),
+               table.synopsis.c_str());
+  const auto line = [&](const std::string& lhs, const std::string& help) {
+    // A flag too wide for the column gets its help on the next line.
+    if (lhs.size() > 24) std::fprintf(to, "  %s\n%27s", lhs.c_str(), "");
+    else std::fprintf(to, "  %-24s ", lhs.c_str());
+    std::fprintf(to, "%s\n", help.c_str());
+  };
+  for (const Flag& f : table.flags) {
+    line(f.value.empty() ? f.name : f.name + " " + f.value, f.help);
+  }
+  line("--help", "print this help and exit");
+  std::fprintf(to, "%s", table.footer.c_str());
+}
+
+/// The one argument loop. Returns the exit code when the invocation ends
+/// here (0 after --help, 2 on any usage error), nullopt to run the command.
+std::optional<int> parseFlags(const Cli& cli, const FlagTable& table) {
+  for (std::size_t i = 0; i < cli.args.size(); ++i) {
+    const std::string_view arg = cli.args[i];
+    if (arg == "--help") {
+      printUsage(stdout, cli, table);
+      return 0;
+    }
+    const auto flag =
+        std::find_if(table.flags.begin(), table.flags.end(),
+                     [&](const Flag& f) { return f.name == arg; });
+    if (flag == table.flags.end()) {
+      std::fprintf(stderr, "unknown flag '%s'\n", cli.args[i]);
+      printUsage(stderr, cli, table);
+      return 2;
+    }
+    const char* value = "";
+    if (!flag->value.empty()) {
+      if (i + 1 == cli.args.size()) {
+        std::fprintf(stderr, "missing value for %s\n", flag->name.c_str());
+        return 2;
+      }
+      value = cli.args[++i];
+    }
+    const std::string want = flag->set(value);
+    if (!want.empty()) {
+      std::fprintf(stderr, "invalid value '%s' for %s (want %s)\n", value,
+                   flag->name.c_str(), want.c_str());
+      return 2;
+    }
+  }
+  return std::nullopt;
+}
+
+/// A required flag was left out: exit 2 with the reason.
+int usageError(const Cli& cli, const char* message) {
+  std::fprintf(stderr, "%s (see %s --help)\n", message, cli.command.c_str());
   return 2;
 }
 
-// Byte-size parse for --checkpoint-budget: plain bytes or a k/m/g suffix
-// (binary units). Strict like the other numeric parsers: trailing garbage
-// is an error, not a silently truncated budget.
-std::size_t parseByteSize(const char* text, const char* flag) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || errno == ERANGE || text[0] == '-') {
-    std::fprintf(stderr, "invalid size '%s' for %s\n", text, flag);
-    std::exit(2);
-  }
-  std::size_t shift = 0;
-  if (*end == 'k' || *end == 'K') shift = 10;
-  else if (*end == 'm' || *end == 'M') shift = 20;
-  else if (*end == 'g' || *end == 'G') shift = 30;
-  if (shift != 0) ++end;
-  if (*end != '\0') {
-    std::fprintf(stderr, "invalid size '%s' for %s (use bytes or k/m/g)\n",
-                 text, flag);
-    std::exit(2);
-  }
-  // The suffix shift must not wrap: a silently truncated budget would force
-  // the spill path the user asked to avoid.
-  if (shift != 0 && v > (std::numeric_limits<std::size_t>::max() >> shift)) {
-    std::fprintf(stderr, "size '%s' for %s is out of range\n", text, flag);
-    std::exit(2);
-  }
-  return static_cast<std::size_t>(v) << shift;
-}
+// ------------------------------------------------------------------ inputs ---
 
-// Strict positive-integer parse for counted flags (--jobs, --batch-faults,
-// --lane-width): trailing garbage, zero, negatives and overflow are all
-// errors with exit 2, never a silently clamped or truncated count.
-std::uint32_t parsePositiveCount(const char* text, const char* flag,
-                                 std::uint32_t maxValue) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE || text[0] == '-' ||
-      v == 0 || v > maxValue) {
-    std::fprintf(stderr,
-                 "invalid value '%s' for %s (want an integer in [1, %u])\n",
-                 text, flag, maxValue);
-    std::exit(2);
-  }
-  return static_cast<std::uint32_t>(v);
-}
+/// A malformed netlist, sequence, fault list or campaign is an invalid
+/// invocation (exit 2, like a bad flag value), not a simulation failure.
+struct InputError : Error {
+  using Error::Error;
+};
 
-// --lane-width additionally requires a power of two: lane words pack 2-bit
-// states, so only power-of-two widths align fault windows.
-std::uint32_t parseLaneWidth(const char* text, const char* flag) {
-  const std::uint32_t v = parsePositiveCount(text, flag, 32);
-  if ((v & (v - 1)) != 0) {
-    std::fprintf(stderr,
-                 "invalid value '%s' for %s (want a power of two in [1, 32])\n",
-                 text, flag);
-    std::exit(2);
+/// Runs `load`, reporting a library Error from it as an InputError.
+template <class Load> auto readInput(Load&& load) -> decltype(load()) {
+  try {
+    return load();
+  } catch (const Error& e) {
+    throw InputError(e.what());
   }
-  return v;
 }
 
 const char* kDemoNetlist = R"(| demo: nMOS inverter chain with a pass gate
@@ -239,26 +359,239 @@ const char* kDemoFaults = R"(all-node-stuck
 all-transistor-stuck
 )";
 
-int fuzzUsage(std::FILE* to, const char* argv0) {
-  std::fprintf(
-      to,
-      "usage: %s fuzz [--seeds N      campaign size (default 25)]\n"
-      "               [--seed S       first seed (default 1)]\n"
-      "               [--nodes N] [--inputs N] [--faults N] [--patterns N]\n"
-      "               [--policy any|definite] [--no-drop]\n"
-      "               [--lane-width N pin the lane-sharing comparands to\n"
-      "                               {1, N} (power of two in [1, 32];\n"
-      "                               default sweeps {1, 4, 32})]\n"
-      "               [--chaos N      lose every Nth concurrent trigger\n"
-      "                               (oracle self-test; must find bugs)]\n"
-      "               [--quiet]\n",
-      argv0);
-  return to == stderr ? 2 : 0;
+struct Circuit {
+  Network net;
+  TestSequence seq;
+};
+
+/// --sim | --bench | --demo plus --seq: the circuit and test sequence that
+/// fault grading and seu both start from.
+struct CircuitFlags {
+  std::optional<std::string> sim, bench, seq;
+  bool demo = false;
+
+  std::vector<Flag> flags() {
+    return {
+        stringFlag("--sim", sim, "FILE",
+                   "switch-level netlist (src/netlist/sim_format.hpp)"),
+        stringFlag("--bench", bench, "FILE",
+                   "ISCAS .bench gate netlist, expanded to CMOS"),
+        switchFlag("--demo", demo,
+                   "built-in demo circuit and inputs (ignores the files)"),
+        stringFlag("--seq", seq, "FILE",
+                   "test sequence (src/patterns/sequence_io.hpp)"),
+    };
+  }
+
+  /// Why the selection is incomplete, or nullptr.
+  const char* missing() const {
+    if (demo) return nullptr;
+    if (!sim && !bench) {
+      return "one of --sim FILE, --bench FILE or --demo is required";
+    }
+    if (!seq) return "--seq FILE is required";
+    return nullptr;
+  }
+
+  /// Loads the selected circuit and sequence (throws InputError).
+  Circuit load() const {
+    return readInput([&] {
+      Circuit c;
+      c.net = demo  ? parseSimNetlist(kDemoNetlist)
+              : sim ? loadSimFile(*sim)
+                    : expandToCmos(loadBenchFile(*bench)).net;
+      c.seq = demo ? parseSequence(c.net, kDemoSequence)
+                   : loadSequenceFile(c.net, *seq);
+      return c;
+    });
+  }
+};
+
+/// The daemon sizing knobs shared by serve and loadgen's --inproc daemon.
+std::vector<Flag> daemonFlags(serve::ServerOptions& opts) {
+  return {
+      countFlag("--pool", opts.poolEngines, kMaxThreads,
+                "persistent engine slots (default 4)"),
+      countFlag("--workers", opts.workers, kMaxThreads,
+                "job worker threads (default 2, clamped to --pool)"),
+      countFlag("--queue", opts.queueBound, kMaxQueue,
+                "queued-job bound before backpressure (default 64)"),
+      byteSizeFlag("--checkpoint-budget", opts.checkpointBudgetBytes,
+                   "shared checkpoint-store memory budget (0 = unbounded)"),
+  };
 }
 
-int fuzzUsage(const char* argv0) { return fuzzUsage(stderr, argv0); }
+// ---------------------------------------------------------- fault grading ---
 
-int runFuzz(int argc, char** argv) {
+int runGrading(const Cli& cli) {
+  CircuitFlags in;
+  std::optional<std::string> faultFile, csvFile;
+  bool noDrop = false, compare = false, quiet = false;
+  EngineOptions opts;  // backend/policy/jobs defaults are the library's
+
+  const FlagTable table{
+      "(--sim FILE | --bench FILE | --demo)\n"
+      "       --seq FILE --faults FILE [flags]",
+      concat(in.flags(), {
+          stringFlag("--faults", faultFile, "FILE",
+                     "fault list (src/faults/fault_spec.hpp)"),
+          choiceFlag("--backend", opts.backend, parseBackend,
+                     "serial|concurrent",
+                     "simulation backend (default concurrent)"),
+          countFlag("--jobs", opts.jobs, kMaxThreads,
+                    "parallel workers (concurrent backend only; default 1)"),
+          countFlag("--batch-faults", opts.batchFaults, kMaxU32,
+                    "sharded fault-batch size (default: auto)"),
+          laneWidthFlag("--lane-width", opts.laneWidth,
+                        "word-lane fault batching width (default 1)"),
+          byteSizeFlag("--checkpoint-budget", opts.checkpointBudgetBytes,
+                       "good-machine trace budget (default 0 = unbounded)"),
+          choiceFlag("--schedule", opts.schedule, sched::parseSchedulePolicy,
+                     "contiguous|history",
+                     "sharded batch layout (default contiguous)"),
+          stringFlag("--history-file", opts.historyFile, "PATH",
+                     "detection-history sidecar for --schedule history"),
+          choiceFlag("--policy", opts.policy, parseDetectionPolicy,
+                     "any|definite", "detection criterion (default definite)"),
+          switchFlag("--no-drop", noDrop, "keep simulating detected faults"),
+          stringFlag("--csv", csvFile, "FILE", "write the per-pattern series"),
+          switchFlag("--compare", compare,
+                     "cross-check the other backend (exit 1 on mismatch)"),
+          switchFlag("--quiet", quiet, "print only the summary lines"),
+      }),
+      "SIZE is bytes or a k/m/g suffix; with --jobs > 1 the trace spills to "
+      "disk past\n--checkpoint-budget. --policy definite is the default "
+      "because a tester cannot\ntell an X from a driven value; --policy any is "
+      "the paper's literal \"any\ndifference\". --schedule history co-batches "
+      "hard-to-detect faults from the\n--history-file record, refreshed after "
+      "every sharded run. Lane widths and\nschedules never change results.\n"
+      "\n"
+      "subcommands (each lists its flags with --help):\n"
+      "  fuzz    seeded random workloads cross-checked serial vs concurrent "
+      "vs sharded;\n"
+      "          divergences are shrunk to minimized seed reproducers\n"
+      "  bench   reproducible benchmark runs (warmup + reps + median/stddev), "
+      "writing\n"
+      "          schema-versioned BENCH_<scenario>.json files with --json\n"
+      "  serve   engine-pool daemon speaking newline-delimited JSON over a "
+      "Unix\n"
+      "          socket (submit/status/result/cancel/stats/shutdown; "
+      "docs/SERVICE.md)\n"
+      "  loadgen zipf-skewed mixed-tenant replay against a daemon, verifying "
+      "every\n"
+      "          response against a direct engine run (--json: "
+      "BENCH_serve_mixed.json)\n"
+      "  seu     transient-fault grading: bit-flips at chosen instants, "
+      "classified\n"
+      "          detected/silent/latent by replaying checkpointed good-machine "
+      "tails\n"
+      "Exit codes: 0 ok, 1 simulation failure or mismatch, 2 bad invocation "
+      "or input.\n"};
+  if (const auto exit = parseFlags(cli, table)) return *exit;
+  if (const char* why = in.missing()) return usageError(cli, why);
+  if (!in.demo && !faultFile) {
+    return usageError(cli, "--faults FILE is required");
+  }
+
+  const Circuit circuit = in.load();
+  const Network& net = circuit.net;
+  const TestSequence& seq = circuit.seq;
+  const FaultList faults = readInput([&] {
+    return in.demo ? parseFaultSpec(net, kDemoFaults)
+                   : loadFaultSpecFile(net, *faultFile);
+  });
+  if (!quiet) {
+    std::printf("network: %u transistors (%u fault devices), %u nodes "
+                "(%u inputs)\n",
+                net.numTransistors(), net.numFaultDevices(), net.numNodes(),
+                net.numInputs());
+    std::printf("sequence: %u patterns, %zu output(s); faults: %u\n",
+                seq.size(), seq.outputs().size(), faults.size());
+  }
+
+  opts.dropDetected = !noDrop;
+  Engine engine(net, faults, opts);
+  const bool sharded = std::string(engine.backendName()) == "sharded";
+  if (!quiet) {
+    std::printf("backend: %s", engine.backendName());
+    // Report the effective shard count (clamped to the fault count).
+    if (sharded) std::printf(" (%u jobs)", std::min(opts.jobs, faults.size()));
+    std::printf("\n");
+  }
+  const FaultSimResult res = engine.run(seq);
+
+  if (!quiet) {
+    std::printf("\n%-8s %-10s %-12s %-8s\n", "pattern", "detected",
+                "cumulative", "alive");
+    for (const SeriesRow& row : downsample(res, 20)) {
+      std::printf("%-8u %-10s %-12u %-8u\n", row.pattern, "",
+                  row.cumulativeDetected, row.alive);
+    }
+  }
+  std::printf("\ncoverage: %u / %u (%.2f%%), potential (X) detections: %llu\n",
+              res.numDetected, res.numFaults, 100.0 * res.coverage(),
+              (unsigned long long)res.potentialDetections);
+  // Sharded runs overlap batch work on the wall clock; report the two
+  // timing fields separately so neither masquerades as the other.
+  if (sharded) {
+    std::printf("time: %.4f s wall (%.4f s engine CPU), work: %llu node "
+                "evaluations\n",
+                res.totalSeconds, res.totalCpuSeconds,
+                (unsigned long long)res.totalNodeEvals);
+  } else {
+    std::printf("time: %.4f s, work: %llu node evaluations\n",
+                res.totalSeconds, (unsigned long long)res.totalNodeEvals);
+  }
+
+  if (!quiet) {
+    std::printf("\nundetected faults:\n");
+    unsigned shown = 0;
+    for (std::uint32_t i = 0; i < faults.size(); ++i) {
+      if (res.detectedAtPattern[i] < 0) {
+        std::printf("  %s\n", faults[i].name.c_str());
+        if (++shown >= 25) {
+          std::printf("  ... (%u total)\n", res.numFaults - res.numDetected);
+          break;
+        }
+      }
+    }
+    if (shown == 0) std::printf("  (none)\n");
+  }
+
+  if (csvFile) {
+    writeCsv(res, *csvFile);
+    std::printf("per-pattern series written to %s\n", csvFile->c_str());
+  }
+
+  if (compare) {
+    // Cross-check against the other backend through the same interface.
+    EngineOptions other = opts;
+    other.backend = opts.backend == Backend::Serial ? Backend::Concurrent
+                                                    : Backend::Serial;
+    other.jobs = 1;
+    Engine reference(net, faults, other);
+    const FaultSimResult rres = reference.run(seq);
+    std::printf("\n%s reference: %u detected, %.4f s\n",
+                reference.backendName(), rres.numDetected, rres.totalSeconds);
+    const GoodRunResult good = engine.runGood(seq);
+    const SerialEstimate est =
+        estimateSerial(res.detectedAtPattern, seq.size(),
+                       good.secondsPerPattern(), good.nodeEvalsPerPattern());
+    std::printf("paper-method serial estimate: %.4f s\n", est.seconds);
+    bool match = rres.numDetected == res.numDetected;
+    for (std::uint32_t i = 0; match && i < faults.size(); ++i) {
+      match = rres.detectedAtPattern[i] == res.detectedAtPattern[i];
+    }
+    std::printf("backend detection agreement: %s\n",
+                match ? "EXACT" : "MISMATCH");
+    if (!match) return 1;
+  }
+  return 0;
+}
+
+// ------------------------------------------------------------------- fuzz ---
+
+int runFuzz(const Cli& cli) {
   std::uint64_t firstSeed = 1;
   std::uint32_t numSeeds = 25;
   std::optional<std::uint32_t> nodes, inputs, faults, patterns, chaos;
@@ -266,67 +599,32 @@ int runFuzz(int argc, char** argv) {
   std::optional<DetectionPolicy> policy;
   bool noDrop = false, quiet = false;
 
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    // Strict decimal parse: a typo like "1O0" must be an error, not a
-    // silently truncated campaign that exits 0.
-    const auto nextU64 = [&]() -> std::uint64_t {
-      const char* text = next();
-      char* end = nullptr;
-      errno = 0;
-      const unsigned long long v = std::strtoull(text, &end, 10);
-      if (end == text || *end != '\0' || errno == ERANGE || text[0] == '-') {
-        std::fprintf(stderr, "invalid number '%s' for %s\n", text, arg.c_str());
-        std::exit(2);
-      }
-      return v;
-    };
-    const auto nextUint = [&]() -> std::uint32_t {
-      const std::uint64_t v = nextU64();
-      if (v > 0xffffffffULL) {
-        std::fprintf(stderr, "value for %s out of range\n", arg.c_str());
-        std::exit(2);
-      }
-      return static_cast<std::uint32_t>(v);
-    };
-    if (arg == "--help") return fuzzUsage(stdout, argv[0]);
-    else if (arg == "--seeds") numSeeds = nextUint();
-    else if (arg == "--seed") firstSeed = nextU64();
-    else if (arg == "--nodes") nodes = nextUint();
-    else if (arg == "--inputs") inputs = nextUint();
-    else if (arg == "--faults") faults = nextUint();
-    else if (arg == "--patterns") patterns = nextUint();
-    else if (arg == "--chaos") chaos = nextUint();
-    else if (arg == "--lane-width") {
-      const std::uint32_t v = nextUint();
-      if (v < 1 || v > 32 || (v & (v - 1)) != 0) {
-        std::fprintf(stderr,
-                     "invalid value '%u' for --lane-width (want a power of "
-                     "two in [1, 32])\n",
-                     v);
-        std::exit(2);
-      }
-      laneWidth = v;
-    }
-    else if (arg == "--no-drop") noDrop = true;
-    else if (arg == "--quiet") quiet = true;
-    else if (arg == "--policy") {
-      const std::string p = next();
-      if (p == "any") policy = DetectionPolicy::AnyDifference;
-      else if (p == "definite") policy = DetectionPolicy::DefiniteOnly;
-      else return fuzzUsage(argv[0]);
-    } else {
-      return fuzzUsage(argv[0]);
-    }
-  }
-  if (numSeeds == 0) return fuzzUsage(argv[0]);
+  const FlagTable table{
+      "[flags]",
+      {
+          countFlag("--seeds", numSeeds, kMaxU32, "campaign size (default 25)"),
+          u64Flag("--seed", firstSeed, "S", "first seed (default 1)"),
+          countFlag("--nodes", nodes, kMaxU32,
+                    "pin the storage-node count (default: per seed)"),
+          countFlag("--inputs", inputs, kMaxU32,
+                    "pin the input count (default: per seed)"),
+          countFlag("--faults", faults, kMaxU32,
+                    "pin the fault count (default: per seed)"),
+          countFlag("--patterns", patterns, kMaxU32,
+                    "pin the pattern count (default: per seed)"),
+          choiceFlag("--policy", policy, parseDetectionPolicy, "any|definite",
+                     "pin the detection policy (default: swept per seed)"),
+          switchFlag("--no-drop", noDrop,
+                     "never drop detected faults (default: swept per seed)"),
+          laneWidthFlag("--lane-width", laneWidth,
+                        "pin lane comparands to {1, N} (default {1, 4, 32})"),
+          countFlag("--chaos", chaos, kMaxU32,
+                    "drop every Nth concurrent trigger (oracle self-test)"),
+          switchFlag("--quiet", quiet, "print only divergences and the summary"),
+      },
+      "Each divergence prints a minimized reproducer and the command that "
+      "replays it\nfrom its seed alone. Exit 1 on any divergence.\n"};
+  if (const auto exit = parseFlags(cli, table)) return *exit;
 
   std::uint32_t failures = 0;
   std::uint64_t totalRuns = 0;
@@ -362,15 +660,13 @@ int runFuzz(int argc, char** argv) {
       // pinned generator parameters, the policy/drop pair actually used,
       // and the chaos injector if active.
       std::string repro =
-          format("%s fuzz --seed %llu --seeds 1", argv[0],
+          format("%s fuzz --seed %llu --seeds 1", cli.argv0,
                  static_cast<unsigned long long>(seed));
       if (nodes) repro += format(" --nodes %u", *nodes);
       if (inputs) repro += format(" --inputs %u", *inputs);
       if (faults) repro += format(" --faults %u", *faults);
       if (patterns) repro += format(" --patterns %u", *patterns);
-      repro += oracle.policy == DetectionPolicy::AnyDifference
-                   ? " --policy any"
-                   : " --policy definite";
+      repro += format(" --policy %s", detectionPolicyName(oracle.policy));
       if (!oracle.dropDetected) repro += " --no-drop";
       if (laneWidth) repro += format(" --lane-width %u", *laneWidth);
       if (chaos) repro += format(" --chaos %u", *chaos);
@@ -386,93 +682,45 @@ int runFuzz(int argc, char** argv) {
   return failures == 0 ? 0 : 1;
 }
 
-int benchUsage(std::FILE* to, const char* argv0) {
-  std::fprintf(
-      to,
-      "usage: %s bench [--json          write BENCH_<scenario>.json files]\n"
-      "                [--out DIR       output directory (default: .)]\n"
-      "                [--scenario NAME run one scenario (repeatable)]\n"
-      "                [--reps N        measured repetitions (default 5)]\n"
-      "                [--warmup N      unmeasured warmup runs (default 1)]\n"
-      "                [--smoke         1 rep, no warmup (CI harness check)]\n"
-      "                [--checkpoint-budget SIZE  override every scenario's\n"
-      "                                 checkpoint-store memory budget (bytes,\n"
-      "                                 k/m/g suffix; 0 = unbounded in-memory\n"
-      "                                 traces) — forces the spill/window path\n"
-      "                                 when set below a trace's size]\n"
-      "                [--check         gate fresh results against baseline\n"
-      "                                 BENCH_*.json files (exit 1 on any\n"
-      "                                 checksum/nodeEvals drift or wall-clock\n"
-      "                                 regression beyond --tolerance)]\n"
-      "                [--baseline DIR  baseline directory for --check\n"
-      "                                 (default: .)]\n"
-      "                [--tolerance P   wall-clock regression tolerance in\n"
-      "                                 percent (default 15; raise on noisy\n"
-      "                                 runners — exact checks stay strict)]\n"
-      "                [--list          list scenarios and exit]\n"
-      "                [--quiet]\n"
-      "Rows with equal policy/drop settings must produce equal result\n"
-      "checksums across backends; a mismatch fails the run (exit 1).\n",
-      argv0);
-  return to == stderr ? 2 : 0;
-}
+// ------------------------------------------------------------------ bench ---
 
-int runBench(int argc, char** argv) {
+int runBench(const Cli& cli) {
   perf::BenchConfig config;
   perf::CheckOptions checkOpts;
   std::string outDir = ".";
   bool json = false, list = false, quiet = false, check = false;
 
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    const auto nextUint = [&]() -> unsigned {
-      const char* text = next();
-      char* end = nullptr;
-      errno = 0;
-      const unsigned long v = std::strtoul(text, &end, 10);
-      if (end == text || *end != '\0' || errno == ERANGE || text[0] == '-') {
-        std::fprintf(stderr, "invalid number '%s' for %s\n", text, arg.c_str());
-        std::exit(2);
-      }
-      return static_cast<unsigned>(v);
-    };
-    if (arg == "--json") json = true;
-    else if (arg == "--out") outDir = next();
-    else if (arg == "--scenario") config.only.push_back(next());
-    else if (arg == "--reps") config.reps = nextUint();
-    else if (arg == "--warmup") config.warmup = nextUint();
-    else if (arg == "--smoke") config.smoke = true;
-    else if (arg == "--checkpoint-budget") {
-      config.checkpointBudget = parseByteSize(next(), "--checkpoint-budget");
-    }
-    else if (arg == "--check") check = true;
-    else if (arg == "--baseline") checkOpts.baselineDir = next();
-    else if (arg == "--tolerance") {
-      const char* text = next();
-      char* end = nullptr;
-      const double v = std::strtod(text, &end);
-      if (end == text || *end != '\0' || v < 0.0) {
-        std::fprintf(stderr, "invalid tolerance '%s'\n", text);
-        return 2;
-      }
-      checkOpts.tolerancePct = v;
-    }
-    else if (arg == "--list") list = true;
-    else if (arg == "--quiet") quiet = true;
-    else if (arg == "--help") return benchUsage(stdout, argv[0]);
-    else return benchUsage(stderr, argv[0]);
-  }
-  if (config.reps == 0) {
-    std::fprintf(stderr, "--reps must be >= 1\n");
-    return 2;
-  }
+  const FlagTable table{
+      "[flags]",
+      {
+          switchFlag("--json", json, "write BENCH_<scenario>.json files"),
+          stringFlag("--out", outDir, "DIR", "output directory (default .)"),
+          stringFlag("--scenario", config.only, "NAME",
+                     "run one scenario (repeatable; default: all)"),
+          countFlag("--reps", config.reps, kMaxU32,
+                    "measured repetitions (default 5)"),
+          u64Flag("--warmup", config.warmup, "N",
+                  "unmeasured warmup runs (default 1)"),
+          switchFlag("--smoke", config.smoke,
+                     "1 rep, no warmup (CI harness check)"),
+          byteSizeFlag("--checkpoint-budget", config.checkpointBudget,
+                       "override scenario trace budgets (0 = unbounded)"),
+          switchFlag("--check", check,
+                     "gate results against baseline BENCH_*.json files"),
+          stringFlag("--baseline", checkOpts.baselineDir, "DIR",
+                     "baseline directory for --check (default .)"),
+          doubleFlag("--tolerance", checkOpts.tolerancePct, "P",
+                     "wall-clock regression tolerance, percent (default 15)"),
+          switchFlag("--list", list, "list scenarios and exit"),
+          switchFlag("--quiet", quiet, "suppress the per-row table"),
+      },
+      "Rows with equal policy/drop settings must produce equal result\n"
+      "checksums across backends; a mismatch fails the run (exit 1). --check "
+      "fails\n(exit 1) on any checksum/nodeEvals drift or a wall-clock "
+      "regression beyond\n--tolerance, which must be finite and >= 0 (raise "
+      "it on noisy runners; the\nexact checks stay strict). A --checkpoint-"
+      "budget below a trace's size forces\nthe spill/window path.\n"};
+  if (const auto exit = parseFlags(cli, table)) return *exit;
   // A mistyped scenario name is a usage error (exit 2), and the message
   // must carry the valid names so the fix is one copy-paste away.
   for (const std::string& name : config.only) {
@@ -573,67 +821,29 @@ int runBench(int argc, char** argv) {
   return 0;
 }
 
-int serveUsage(std::FILE* to, const char* argv0) {
-  std::fprintf(
-      to,
-      "usage: %s serve --socket PATH   Unix-domain socket to listen on\n"
-      "                [--pool N       persistent engine slots (default 4)]\n"
-      "                [--workers N    job worker threads (default 2,\n"
-      "                                clamped to --pool)]\n"
-      "                [--queue N      queued-job bound before backpressure\n"
-      "                                (default 64)]\n"
-      "                [--checkpoint-budget SIZE  shared checkpoint-store\n"
-      "                                memory budget (bytes, k/m/g suffix;\n"
-      "                                0 = unbounded)]\n"
-      "                [--store-entries N  max cached good-machine recordings\n"
-      "                                (default 64, LRU-evicted)]\n"
-      "                [--quiet]\n"
-      "Runs until a client sends {\"verb\":\"shutdown\"}. Protocol: one JSON\n"
-      "request per line, one JSON response per line (docs/SERVICE.md).\n",
-      argv0);
-  return to == stderr ? 2 : 0;
-}
+// ------------------------------------------------------------------ serve ---
 
-int runServe(int argc, char** argv) {
+int runServe(const Cli& cli) {
   serve::ServerOptions opts;
   std::string socketPath;
   bool quiet = false;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    // Counted flags go through the strict shared parser (parsePositiveCount):
-    // garbage, zero, negatives and values past the cap all exit 2 — the old
-    // local strtoul lambda silently truncated 64-bit values to unsigned.
-    if (arg == "--socket") socketPath = next();
-    else if (arg == "--pool") {
-      opts.poolEngines = parsePositiveCount(next(), "--pool", 1u << 16);
-    }
-    else if (arg == "--workers") {
-      opts.workers = parsePositiveCount(next(), "--workers", 1u << 16);
-    }
-    else if (arg == "--queue") {
-      opts.queueBound = parsePositiveCount(next(), "--queue", 1u << 20);
-    }
-    else if (arg == "--checkpoint-budget") {
-      opts.checkpointBudgetBytes = parseByteSize(next(), "--checkpoint-budget");
-    }
-    else if (arg == "--store-entries") {
-      opts.storeEntries = parsePositiveCount(next(), "--store-entries",
-                                             1u << 20);
-    }
-    else if (arg == "--quiet") quiet = true;
-    else if (arg == "--help") return serveUsage(stdout, argv[0]);
-    else return serveUsage(stderr, argv[0]);
-  }
+
+  const FlagTable table{
+      "--socket PATH [flags]",
+      concat(concat({stringFlag("--socket", socketPath, "PATH",
+                                "Unix-domain socket to listen on (required)")},
+                    daemonFlags(opts)),
+             {
+                 countFlag("--store-entries", opts.storeEntries, kMaxQueue,
+                           "cached good-machine recordings, LRU (default 64)"),
+                 switchFlag("--quiet", quiet,
+                            "no start-up or shutdown summary"),
+             }),
+      "Runs until a client sends {\"verb\":\"shutdown\"}. Protocol: one JSON\n"
+      "request per line, one JSON response per line (docs/SERVICE.md).\n"};
+  if (const auto exit = parseFlags(cli, table)) return *exit;
   if (socketPath.empty()) {
-    std::fprintf(stderr, "serve: --socket PATH is required\n");
-    return 2;
+    return usageError(cli, "serve: --socket PATH is required");
   }
 
   serve::Server server(opts);
@@ -663,109 +873,56 @@ int runServe(int argc, char** argv) {
   return 0;
 }
 
-int loadgenUsage(std::FILE* to, const char* argv0) {
-  std::fprintf(
-      to,
-      "usage: %s loadgen (--socket PATH | --inproc)\n"
-      "                  [--seeds M       distinct circuits (default 5)]\n"
-      "                  [--sequences K   test sequences per circuit "
-      "(default 2)]\n"
-      "                  [--requests N    requests to replay (default 50)]\n"
-      "                  [--seed S        base workload seed (default 1)]\n"
-      "                  [--zipf E        repeat-skew exponent (default "
-      "1.1)]\n"
-      "                  [--concurrency T client connections (default 4)]\n"
-      "                  [--jobs J        per-request parallelism (default "
-      "2)]\n"
-      "                  [--no-verify     skip the direct-engine checksum "
-      "oracle]\n"
-      "                  [--expect-store-hits N  fail unless the daemon\n"
-      "                                   reports >= N checkpoint-store "
-      "hits]\n"
-      "                  [--json] [--out DIR]  write BENCH_serve_mixed.json\n"
-      "                  [--shutdown      send shutdown when done]\n"
-      "                  [--pool N] [--workers N] [--queue N]\n"
-      "                  [--checkpoint-budget SIZE]   (--inproc daemon "
-      "knobs)\n"
-      "                  [--quiet]\n"
-      "Replays M*K distinct workloads over N zipf-skewed requests and "
-      "verifies\nevery response checksum against a direct Engine run (exit 1 "
-      "on any\nmismatch).\n",
-      argv0);
-  return to == stderr ? 2 : 0;
-}
+// ---------------------------------------------------------------- loadgen ---
 
-int runLoadgen(int argc, char** argv) {
+int runLoadgen(const Cli& cli) {
   serve::LoadGenOptions opts;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    const auto nextUint = [&]() -> unsigned {
-      const char* text = next();
-      char* end = nullptr;
-      errno = 0;
-      const unsigned long v = std::strtoul(text, &end, 10);
-      if (end == text || *end != '\0' || errno == ERANGE || text[0] == '-') {
-        std::fprintf(stderr, "invalid number '%s' for %s\n", text, arg.c_str());
-        std::exit(2);
-      }
-      return static_cast<unsigned>(v);
-    };
-    if (arg == "--socket") opts.socketPath = next();
-    else if (arg == "--inproc") opts.inproc = true;
-    else if (arg == "--seeds") opts.circuits = nextUint();
-    else if (arg == "--sequences") opts.sequencesPerCircuit = nextUint();
-    else if (arg == "--requests") opts.requests = nextUint();
-    else if (arg == "--seed") opts.baseSeed = nextUint();
-    else if (arg == "--zipf") {
-      const char* text = next();
-      char* end = nullptr;
-      const double v = std::strtod(text, &end);
-      if (end == text || *end != '\0' || v < 0.0) {
-        std::fprintf(stderr, "invalid zipf exponent '%s'\n", text);
-        return 2;
-      }
-      opts.zipfExponent = v;
-    }
-    else if (arg == "--concurrency") opts.concurrency = nextUint();
-    else if (arg == "--jobs") opts.jobs = nextUint();
-    else if (arg == "--no-verify") opts.verify = false;
-    else if (arg == "--expect-store-hits") opts.expectStoreHits = nextUint();
-    else if (arg == "--json") opts.emitJson = true;
-    else if (arg == "--out") opts.outDir = next();
-    else if (arg == "--shutdown") opts.shutdownAfter = true;
-    // Daemon knobs must be >= 1 and never silently truncated: same strict
-    // parser (and caps) as the serve subcommand's flags.
-    else if (arg == "--pool") {
-      opts.inprocServer.poolEngines =
-          parsePositiveCount(next(), "--pool", 1u << 16);
-    }
-    else if (arg == "--workers") {
-      opts.inprocServer.workers =
-          parsePositiveCount(next(), "--workers", 1u << 16);
-    }
-    else if (arg == "--queue") {
-      opts.inprocServer.queueBound =
-          parsePositiveCount(next(), "--queue", 1u << 20);
-    }
-    else if (arg == "--checkpoint-budget") {
-      opts.inprocServer.checkpointBudgetBytes =
-          parseByteSize(next(), "--checkpoint-budget");
-    }
-    else if (arg == "--quiet") opts.quiet = true;
-    else if (arg == "--help") return loadgenUsage(stdout, argv[0]);
-    else return loadgenUsage(stderr, argv[0]);
-  }
+  bool noVerify = false;
+
+  const FlagTable table{
+      "(--socket PATH | --inproc) [flags]",
+      concat(
+          {
+              stringFlag("--socket", opts.socketPath, "PATH",
+                         "daemon socket to replay against"),
+              switchFlag("--inproc", opts.inproc,
+                         "start an in-process daemon on a private socket"),
+              countFlag("--seeds", opts.circuits, kMaxU32,
+                        "distinct circuits M (default 5)"),
+              countFlag("--sequences", opts.sequencesPerCircuit, kMaxU32,
+                        "test sequences K per circuit (default 2)"),
+              countFlag("--requests", opts.requests, kMaxU32,
+                        "requests N to replay (default 50)"),
+              u64Flag("--seed", opts.baseSeed, "S",
+                      "base workload seed (default 1)"),
+              doubleFlag("--zipf", opts.zipfExponent, "E",
+                         "repeat-skew exponent (default 1.1; 0 = uniform)"),
+              countFlag("--concurrency", opts.concurrency, kMaxThreads,
+                        "client connections (default 4)"),
+              countFlag("--jobs", opts.jobs, kMaxThreads,
+                        "per-request parallelism (default 2)"),
+              switchFlag("--no-verify", noVerify,
+                         "skip the direct-engine checksum oracle"),
+              u64Flag("--expect-store-hits", opts.expectStoreHits, "N",
+                      "fail unless the daemon reports >= N store hits"),
+              switchFlag("--json", opts.emitJson,
+                         "write BENCH_serve_mixed.json"),
+              stringFlag("--out", opts.outDir, "DIR",
+                         "output directory for --json (default .)"),
+              switchFlag("--shutdown", opts.shutdownAfter,
+                         "send shutdown to the daemon when done"),
+          },
+          concat(daemonFlags(opts.inprocServer),
+                 {switchFlag("--quiet", opts.quiet, "no summary output")})),
+      "--pool, --workers, --queue and --checkpoint-budget size the --inproc "
+      "daemon.\nReplays M*K distinct workloads over N zipf-skewed requests "
+      "and verifies\nevery response checksum against a direct Engine run "
+      "(exit 1 on any\nmismatch).\n"};
+  if (const auto exit = parseFlags(cli, table)) return *exit;
   if (opts.socketPath.empty() && !opts.inproc) {
-    std::fprintf(stderr, "loadgen: --socket PATH or --inproc is required\n");
-    return 2;
+    return usageError(cli, "loadgen: --socket PATH or --inproc is required");
   }
+  opts.verify = !noVerify;
 
   const serve::LoadGenReport report = serve::runLoadGen(opts);
   if (!opts.quiet) {
@@ -789,130 +946,67 @@ int runLoadgen(int argc, char** argv) {
   return 0;
 }
 
-int seuUsage(std::FILE* to, const char* argv0) {
-  std::fprintf(
-      to,
-      "usage: %s seu (--sim FILE | --bench FILE | --demo) --seq FILE\n"
-      "              (--inject FILE     transient campaign spec\n"
-      "                                 (flip <node> @ <pattern> [pulse <d>])\n"
-      "               | --gen N         generate N seeded injections)\n"
-      "              [--seed S          generation seed (default 1)]\n"
-      "              [--instants K      cluster generated injections onto at\n"
-      "                                 most K distinct instants (default 0 =\n"
-      "                                 unclustered; clustering shares replay\n"
-      "                                 tails between same-instant strikes)]\n"
-      "              [--jobs N          worker threads over injection groups]\n"
-      "              [--lane-width N    word-lane batching within a group\n"
-      "                                 (power of two in [1, 32])]\n"
-      "              [--policy any|definite (default: definite)]\n"
-      "              [--naive           from-scratch baseline: one full\n"
-      "                                 sequence simulation per injection,\n"
-      "                                 no checkpoint]\n"
-      "              [--verify          run BOTH modes and fail (exit 1)\n"
-      "                                 unless results are bit-identical]\n"
-      "              [--checkpoint-budget SIZE  good-machine trace budget\n"
-      "                                 (bytes, k/m/g; 0 = unbounded)]\n"
-      "              [--quiet]\n"
-      "Grades each transient as detected (output mismatch), latent (state\n"
-      "still differs at end of sequence) or silent (reconverged). The good\n"
-      "machine is recorded once; injections grouped by instant replay only\n"
-      "the tail after their strike. Deterministic for fixed inputs across\n"
-      "--jobs and --lane-width.\n",
-      argv0);
-  return to == stderr ? 2 : 0;
-}
+// -------------------------------------------------------------------- seu ---
 
-int runSeu(int argc, char** argv) {
-  std::optional<std::string> simFile, benchFile, seqFile, injectFile;
+int runSeu(const Cli& cli) {
+  CircuitFlags in;
+  std::optional<std::string> injectFile;
   std::optional<std::uint32_t> genCount;
   std::uint64_t seed = 1;
   std::uint32_t instants = 0;
-  bool demo = false, naive = false, verify = false, quiet = false;
+  bool naive = false, verify = false, quiet = false;
   seu::CampaignOptions opts;
 
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--help") return seuUsage(stdout, argv[0]);
-    else if (arg == "--sim") simFile = next();
-    else if (arg == "--bench") benchFile = next();
-    else if (arg == "--seq") seqFile = next();
-    else if (arg == "--demo") demo = true;
-    else if (arg == "--inject") injectFile = next();
-    else if (arg == "--gen") {
-      genCount = parsePositiveCount(next(), "--gen",
-                                    std::numeric_limits<std::uint32_t>::max());
-    } else if (arg == "--seed") {
-      const char* text = next();
-      char* end = nullptr;
-      errno = 0;
-      const unsigned long long v = std::strtoull(text, &end, 10);
-      if (end == text || *end != '\0' || errno == ERANGE || text[0] == '-') {
-        std::fprintf(stderr, "invalid number '%s' for --seed\n", text);
-        return 2;
-      }
-      seed = v;
-    } else if (arg == "--instants") {
-      instants = parsePositiveCount(next(), "--instants",
-                                    std::numeric_limits<std::uint32_t>::max());
-    } else if (arg == "--jobs") {
-      opts.jobs = parsePositiveCount(next(), "--jobs", 1u << 16);
-    } else if (arg == "--lane-width") {
-      opts.laneWidth = parseLaneWidth(next(), "--lane-width");
-    } else if (arg == "--policy") {
-      const std::string p = next();
-      if (p == "any") opts.policy = DetectionPolicy::AnyDifference;
-      else if (p == "definite") opts.policy = DetectionPolicy::DefiniteOnly;
-      else return seuUsage(stderr, argv[0]);
-    } else if (arg == "--naive") naive = true;
-    else if (arg == "--verify") verify = true;
-    else if (arg == "--checkpoint-budget") {
-      opts.checkpointBudgetBytes = parseByteSize(next(), "--checkpoint-budget");
-    } else if (arg == "--quiet") quiet = true;
-    else return seuUsage(stderr, argv[0]);
-  }
-  if (!demo && !simFile && !benchFile) return seuUsage(stderr, argv[0]);
-  if (!demo && !seqFile) return seuUsage(stderr, argv[0]);
+  const FlagTable table{
+      "(--sim FILE | --bench FILE | --demo) --seq FILE\n"
+      "       (--inject FILE | --gen N) [flags]",
+      concat(in.flags(), {
+          stringFlag("--inject", injectFile, "FILE",
+                     "campaign spec: flip <node> @ <pattern> [pulse <d>]"),
+          countFlag("--gen", genCount, kMaxU32,
+                    "generate N seeded injections instead"),
+          u64Flag("--seed", seed, "S", "generation seed (default 1)"),
+          u64Flag("--instants", instants, "K",
+                  "cluster --gen onto <= K instants (default 0 = off)"),
+          countFlag("--jobs", opts.jobs, kMaxThreads,
+                    "worker threads over injection groups (default 1)"),
+          laneWidthFlag("--lane-width", opts.laneWidth,
+                        "word-lane batching within a group (default 1)"),
+          choiceFlag("--policy", opts.policy, parseDetectionPolicy,
+                     "any|definite", "detection criterion (default definite)"),
+          switchFlag("--naive", naive,
+                     "from-scratch baseline, no checkpoint replay"),
+          switchFlag("--verify", verify,
+                     "run both modes; exit 1 unless bit-identical"),
+          byteSizeFlag("--checkpoint-budget", opts.checkpointBudgetBytes,
+                       "good-machine trace budget (0 = unbounded)"),
+          switchFlag("--quiet", quiet, "print only the summary lines"),
+      }),
+      "Grades each transient as detected (output mismatch), latent (state\n"
+      "still differs at end of sequence) or silent (reconverged). The good\n"
+      "machine is recorded once; injections grouped by instant replay only\n"
+      "the tail after their strike, and clustering (--instants) shares those\n"
+      "tails. Deterministic for fixed inputs across --jobs and "
+      "--lane-width.\n"};
+  if (const auto exit = parseFlags(cli, table)) return *exit;
+  if (const char* why = in.missing()) return usageError(cli, why);
   if (injectFile.has_value() == genCount.has_value()) {
-    std::fprintf(stderr,
-                 "seu: exactly one of --inject FILE or --gen N is required\n");
-    return 2;
+    return usageError(cli,
+                      "seu: exactly one of --inject FILE or --gen N is required");
   }
 
-  // Malformed inputs (netlist, sequence, campaign spec) are invalid
-  // invocations: exit 2, mirroring the main driver.
-  Network net;
-  TestSequence seq;
-  TransientList campaign;
-  try {
-    if (demo) {
-      net = parseSimNetlist(kDemoNetlist);
-      seq = parseSequence(net, kDemoSequence);
-    } else {
-      if (simFile) net = loadSimFile(*simFile);
-      else net = expandToCmos(loadBenchFile(*benchFile)).net;
-      seq = loadSequenceFile(net, *seqFile);
-    }
-    if (injectFile) {
-      campaign = loadTransientSpecFile(net, *injectFile);
-    } else {
-      SeuGenOptions g;
-      g.seed = seed;
-      g.numInjections = *genCount;
-      g.numPatterns = seq.size();
-      g.maxInstants = instants;
-      campaign = generateSeuCampaign(net, g);
-    }
-  } catch (const Error& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  }
+  const Circuit circuit = in.load();
+  const Network& net = circuit.net;
+  const TestSequence& seq = circuit.seq;
+  const TransientList campaign = readInput([&] {
+    if (injectFile) return loadTransientSpecFile(net, *injectFile);
+    SeuGenOptions g;
+    g.seed = seed;
+    g.numInjections = *genCount;
+    g.numPatterns = seq.size();
+    g.maxInstants = instants;
+    return generateSeuCampaign(net, g);
+  });
 
   if (!quiet) {
     std::printf("network: %u transistors, %u nodes (%u inputs); sequence: %u "
@@ -926,290 +1020,89 @@ int runSeu(int argc, char** argv) {
                          : "");
   }
 
-  try {
-    opts.naive = naive;
-    const seu::CampaignResult res = runSeuCampaign(net, seq, campaign, opts);
+  opts.naive = naive;
+  const seu::CampaignResult res = runSeuCampaign(net, seq, campaign, opts);
 
-    if (verify) {
-      seu::CampaignOptions other = opts;
-      other.naive = !naive;
-      const seu::CampaignResult ref = runSeuCampaign(net, seq, campaign, other);
-      if (ref.checksum() != res.checksum()) {
-        std::fprintf(stderr,
-                     "seu --verify: MISMATCH — %s=0x%016llx vs %s=0x%016llx\n",
-                     naive ? "naive" : "replay",
-                     static_cast<unsigned long long>(res.checksum()),
-                     naive ? "replay" : "naive",
-                     static_cast<unsigned long long>(ref.checksum()));
-        return 1;
-      }
-      if (!quiet) {
-        std::printf("verify: replay and naive campaigns bit-identical\n");
-      }
+  if (verify) {
+    seu::CampaignOptions other = opts;
+    other.naive = !naive;
+    const seu::CampaignResult ref = runSeuCampaign(net, seq, campaign, other);
+    if (ref.checksum() != res.checksum()) {
+      std::fprintf(stderr,
+                   "seu --verify: MISMATCH — %s=0x%016llx vs %s=0x%016llx\n",
+                   naive ? "naive" : "replay",
+                   static_cast<unsigned long long>(res.checksum()),
+                   naive ? "replay" : "naive",
+                   static_cast<unsigned long long>(ref.checksum()));
+      return 1;
     }
-
     if (!quiet) {
-      std::printf("\n%-28s %-9s %s\n", "injection", "outcome", "detected at");
-      for (const seu::InjectionResult& r : res.injections) {
-        if (r.detectedAtPattern >= 0) {
-          std::printf("%-28s %-9s pattern %d\n", r.fault.name.c_str(),
-                      seu::outcomeName(r.outcome), r.detectedAtPattern);
-        } else {
-          std::printf("%-28s %-9s -\n", r.fault.name.c_str(),
-                      seu::outcomeName(r.outcome));
-        }
+      std::printf("verify: replay and naive campaigns bit-identical\n");
+    }
+  }
+
+  if (!quiet) {
+    std::printf("\n%-28s %-9s %s\n", "injection", "outcome", "detected at");
+    for (const seu::InjectionResult& r : res.injections) {
+      if (r.detectedAtPattern >= 0) {
+        std::printf("%-28s %-9s pattern %d\n", r.fault.name.c_str(),
+                    seu::outcomeName(r.outcome), r.detectedAtPattern);
+      } else {
+        std::printf("%-28s %-9s -\n", r.fault.name.c_str(),
+                    seu::outcomeName(r.outcome));
       }
     }
-    std::printf("\nseu: %zu injection(s): %u detected, %u silent, %u latent "
-                "(%u group(s), %s)\n",
-                res.injections.size(), res.numDetected, res.numSilent,
-                res.numLatent, res.numGroups,
-                naive ? "naive" : "checkpoint replay");
-    std::printf("time: %.4f s, work: %llu faulty node evaluations, checksum "
-                "0x%016llx\n",
-                res.totalSeconds,
-                static_cast<unsigned long long>(res.totalNodeEvals),
-                static_cast<unsigned long long>(res.checksum()));
-    return 0;
-  } catch (const Error& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
   }
+  std::printf("\nseu: %zu injection(s): %u detected, %u silent, %u latent "
+              "(%u group(s), %s)\n",
+              res.injections.size(), res.numDetected, res.numSilent,
+              res.numLatent, res.numGroups,
+              naive ? "naive" : "checkpoint replay");
+  std::printf("time: %.4f s, work: %llu faulty node evaluations, checksum "
+              "0x%016llx\n",
+              res.totalSeconds,
+              static_cast<unsigned long long>(res.totalNodeEvals),
+              static_cast<unsigned long long>(res.checksum()));
+  return 0;
 }
+
+struct Subcommand {
+  const char* name;
+  int (*run)(const Cli&);
+};
+
+constexpr Subcommand kSubcommands[] = {
+    {"fuzz", runFuzz},       {"bench", runBench}, {"serve", runServe},
+    {"loadgen", runLoadgen}, {"seu", runSeu},
+};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc > 1 && std::strcmp(argv[1], "--help") == 0) {
-    printUsage(stdout, argv[0]);
-    return 0;
-  }
-  if (argc > 1 && std::strcmp(argv[1], "fuzz") == 0) {
-    try {
-      return runFuzz(argc, argv);
-    } catch (const Error& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 1;
-    }
-  }
-  if (argc > 1 && std::strcmp(argv[1], "bench") == 0) {
-    try {
-      return runBench(argc, argv);
-    } catch (const Error& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 1;
-    }
-  }
-  if (argc > 1 && std::strcmp(argv[1], "serve") == 0) {
-    try {
-      return runServe(argc, argv);
-    } catch (const Error& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 1;
-    }
-  }
-  if (argc > 1 && std::strcmp(argv[1], "loadgen") == 0) {
-    try {
-      return runLoadgen(argc, argv);
-    } catch (const Error& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 1;
-    }
-  }
-  if (argc > 1 && std::strcmp(argv[1], "seu") == 0) {
-    try {
-      return runSeu(argc, argv);
-    } catch (const Error& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 1;
-    }
-  }
-  // Any other non-flag first argument is a mistyped subcommand; refuse it
-  // instead of misparsing it as a file option.
+  // No subcommand (a flag or nothing first) is a fault-grading run; any
+  // other first word must name a subcommand rather than be misparsed.
+  int (*run)(const Cli&) = runGrading;
+  int first = 1;
   if (argc > 1 && argv[1][0] != '-') {
-    std::fprintf(stderr, "unknown subcommand '%s' (try %s --help)\n", argv[1],
-                 argv[0]);
-    return 2;
-  }
-  std::optional<std::string> simFile, benchFile, seqFile, faultFile, csvFile;
-  bool demo = false, noDrop = false, compare = false, quiet = false;
-  EngineOptions opts;  // backend/policy/jobs defaults are the library's
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--sim") simFile = next();
-    else if (arg == "--bench") benchFile = next();
-    else if (arg == "--seq") seqFile = next();
-    else if (arg == "--faults") faultFile = next();
-    else if (arg == "--csv") csvFile = next();
-    else if (arg == "--demo") demo = true;
-    else if (arg == "--no-drop") noDrop = true;
-    else if (arg == "--compare") compare = true;
-    else if (arg == "--quiet") quiet = true;
-    else if (arg == "--backend") {
-      const std::string b = next();
-      if (b == "serial") opts.backend = Backend::Serial;
-      else if (b == "concurrent") opts.backend = Backend::Concurrent;
-      else return usage(argv[0]);
-    } else if (arg == "--jobs") {
-      opts.jobs = parsePositiveCount(next(), "--jobs", 1u << 16);
-    } else if (arg == "--batch-faults") {
-      opts.batchFaults =
-          parsePositiveCount(next(), "--batch-faults",
-                             std::numeric_limits<std::uint32_t>::max());
-    } else if (arg == "--lane-width") {
-      opts.laneWidth = parseLaneWidth(next(), "--lane-width");
-    } else if (arg == "--checkpoint-budget") {
-      opts.checkpointBudgetBytes = parseByteSize(next(), "--checkpoint-budget");
-    } else if (arg == "--schedule") {
-      const char* text = next();
-      const auto parsed = sched::parseSchedulePolicy(text);
-      if (!parsed) {
-        std::fprintf(stderr,
-                     "invalid value '%s' for --schedule (want contiguous or "
-                     "history)\n",
-                     text);
-        return 2;
-      }
-      opts.schedule = *parsed;
-    } else if (arg == "--history-file") {
-      opts.historyFile = next();
-    } else if (arg == "--policy") {
-      const std::string p = next();
-      if (p == "any") opts.policy = DetectionPolicy::AnyDifference;
-      else if (p == "definite") opts.policy = DetectionPolicy::DefiniteOnly;
-      else return usage(argv[0]);
-    } else if (arg == "--serial") {
-      std::fprintf(stderr,
-                   "--serial was replaced: use --backend serial, or --compare "
-                   "to cross-check both backends\n");
+    const auto sub = std::find_if(
+        std::begin(kSubcommands), std::end(kSubcommands),
+        [&](const Subcommand& s) { return argv[1] == std::string_view(s.name); });
+    if (sub == std::end(kSubcommands)) {
+      std::fprintf(stderr, "unknown subcommand '%s' (try %s --help)\n",
+                   argv[1], argv[0]);
       return 2;
-    } else {
-      return usage(argv[0]);
     }
+    run = sub->run;
+    first = 2;
   }
-  if (!demo && !simFile && !benchFile) return usage(argv[0]);
-  if (!demo && (!seqFile || !faultFile)) return usage(argv[0]);
-
-  // Input loading gets its own catch: a malformed netlist, sequence or fault
-  // spec is an invalid-invocation error (exit 2, like bad flag values), not a
-  // simulation failure. The parsers report line-numbered messages.
-  Network net;
-  TestSequence seq;
-  FaultList faults;
+  const Cli cli{argv[0],
+                first == 1 ? argv[0] : format("%s %s", argv[0], argv[1]),
+                std::vector<const char*>(argv + first, argv + argc)};
   try {
-    if (demo) {
-      net = parseSimNetlist(kDemoNetlist);
-    } else if (simFile) {
-      net = loadSimFile(*simFile);
-    } else {
-      const GateCircuit gates = loadBenchFile(*benchFile);
-      net = expandToCmos(gates).net;
-    }
-    seq = demo ? parseSequence(net, kDemoSequence)
-               : loadSequenceFile(net, *seqFile);
-    faults = demo ? parseFaultSpec(net, kDemoFaults)
-                  : loadFaultSpecFile(net, *faultFile);
-  } catch (const Error& e) {
+    return run(cli);
+  } catch (const InputError& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
-  }
-  if (!quiet) {
-    std::printf("network: %u transistors (%u fault devices), %u nodes "
-                "(%u inputs)\n",
-                net.numTransistors(), net.numFaultDevices(), net.numNodes(),
-                net.numInputs());
-    std::printf("sequence: %u patterns, %zu output(s); faults: %u\n",
-                seq.size(), seq.outputs().size(), faults.size());
-  }
-
-  try {
-    opts.dropDetected = !noDrop;
-    Engine engine(net, faults, opts);
-    if (!quiet) {
-      std::printf("backend: %s", engine.backendName());
-      if (std::string(engine.backendName()) == "sharded") {
-        // Report the effective shard count (clamped to the fault count).
-        std::printf(" (%u jobs)", std::min(opts.jobs, faults.size()));
-      }
-      std::printf("\n");
-    }
-    const FaultSimResult res = engine.run(seq);
-
-    if (!quiet) {
-      std::printf("\n%-8s %-10s %-12s %-8s\n", "pattern", "detected",
-                  "cumulative", "alive");
-      for (const SeriesRow& row : downsample(res, 20)) {
-        std::printf("%-8u %-10s %-12u %-8u\n", row.pattern, "",
-                    row.cumulativeDetected, row.alive);
-      }
-    }
-    std::printf("\ncoverage: %u / %u (%.2f%%), potential (X) detections: %llu\n",
-                res.numDetected, res.numFaults, 100.0 * res.coverage(),
-                (unsigned long long)res.potentialDetections);
-    // Sharded runs overlap batch work on the wall clock; report the two
-    // timing fields separately so neither masquerades as the other.
-    if (std::string(engine.backendName()) == "sharded") {
-      std::printf("time: %.4f s wall (%.4f s engine CPU), work: %llu node "
-                  "evaluations\n",
-                  res.totalSeconds, res.totalCpuSeconds,
-                  (unsigned long long)res.totalNodeEvals);
-    } else {
-      std::printf("time: %.4f s, work: %llu node evaluations\n",
-                  res.totalSeconds, (unsigned long long)res.totalNodeEvals);
-    }
-
-    if (!quiet) {
-      std::printf("\nundetected faults:\n");
-      unsigned shown = 0;
-      for (std::uint32_t i = 0; i < faults.size(); ++i) {
-        if (res.detectedAtPattern[i] < 0) {
-          std::printf("  %s\n", faults[i].name.c_str());
-          if (++shown >= 25) {
-            std::printf("  ... (%u total)\n", res.numFaults - res.numDetected);
-            break;
-          }
-        }
-      }
-      if (shown == 0) std::printf("  (none)\n");
-    }
-
-    if (csvFile) {
-      writeCsv(res, *csvFile);
-      std::printf("per-pattern series written to %s\n", csvFile->c_str());
-    }
-
-    if (compare) {
-      // Cross-check against the other backend through the same interface.
-      EngineOptions other = opts;
-      other.backend = opts.backend == Backend::Serial ? Backend::Concurrent
-                                                      : Backend::Serial;
-      other.jobs = 1;
-      Engine reference(net, faults, other);
-      const FaultSimResult rres = reference.run(seq);
-      std::printf("\n%s reference: %u detected, %.4f s\n",
-                  reference.backendName(), rres.numDetected, rres.totalSeconds);
-      const GoodRunResult good = engine.runGood(seq);
-      const SerialEstimate est =
-          estimateSerial(res.detectedAtPattern, seq.size(),
-                         good.secondsPerPattern(), good.nodeEvalsPerPattern());
-      std::printf("paper-method serial estimate: %.4f s\n", est.seconds);
-      bool match = rres.numDetected == res.numDetected;
-      for (std::uint32_t i = 0; match && i < faults.size(); ++i) {
-        match = rres.detectedAtPattern[i] == res.detectedAtPattern[i];
-      }
-      std::printf("backend detection agreement: %s\n",
-                  match ? "EXACT" : "MISMATCH");
-      if (!match) return 1;
-    }
-    return 0;
   } catch (const Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
   for (const auto& [label, universe] :
        {std::pair{"gate-level stuck-at", &classical},
         std::pair{"transistor stuck-open/closed", &transistor}}) {
-    Engine engine(ex.net, *universe, {.backend = Backend::Concurrent});
+    Engine engine(ex.net, *universe);  // default backend: concurrent
     const FaultSimResult res = engine.run(seq);
     std::printf("%-32s %u faults, coverage %5.1f%%, potential (X) %llu\n",
                 label, res.numFaults, 100.0 * res.coverage(),

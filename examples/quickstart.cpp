@@ -82,7 +82,9 @@ int main() {
   //    selectable (Backend::Serial replays each fault individually;
   //    Backend::Concurrent simulates all faults by difference; jobs > 1
   //    shards the concurrent run across threads) and runs are repeatable.
-  Engine engine(net, faults, {.backend = Backend::Concurrent});
+  EngineOptions opts;
+  opts.backend = Backend::Concurrent;
+  Engine engine(net, faults, opts);
   const FaultSimResult res = engine.run(seq);
   std::printf("\n%-10s %-10s %s\n", "pattern", "detected", "cumulative");
   for (const PatternStat& st : res.perPattern) {

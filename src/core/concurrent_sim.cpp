@@ -8,6 +8,16 @@
 
 namespace fmossim {
 
+const char* detectionPolicyName(DetectionPolicy policy) {
+  return policy == DetectionPolicy::AnyDifference ? "any" : "definite";
+}
+
+std::optional<DetectionPolicy> parseDetectionPolicy(const std::string& text) {
+  if (text == "definite") return DetectionPolicy::DefiniteOnly;
+  if (text == "any") return DetectionPolicy::AnyDifference;
+  return std::nullopt;
+}
+
 /// CircuitView over the good circuit's flat state.
 struct GoodCircuitView {
   const ConcurrentFaultSimulator* s;

@@ -28,7 +28,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/state_table.hpp"
@@ -57,6 +59,13 @@ enum class DetectionPolicy : std::uint8_t {
   /// Any difference counts (including X vs definite).
   AnyDifference,
 };
+
+/// Stable policy name ("definite", "any") — the CLI's --policy values, the
+/// daemon's "policy" field and the bench JSON rows.
+const char* detectionPolicyName(DetectionPolicy policy);
+
+/// Inverse of detectionPolicyName; nullopt for unknown text.
+std::optional<DetectionPolicy> parseDetectionPolicy(const std::string& text);
 
 struct FsimOptions {
   SimOptions sim;

@@ -14,21 +14,18 @@ namespace {
   throw Error(format("sim netlist line %zu: %s", lineNo, msg.c_str()));
 }
 
-/// Strict unsigned decimal parse: every character must be a digit, so that
-/// "2x" or "3.5" is an error rather than silently truncated by stoi.
+/// Strict unsigned decimal parse (util/strings.hpp parseDecimal), capped at
+/// 100000, so that "2x" or "3.5" is an error rather than silently truncated
+/// by stoi.
 unsigned parseUint(std::string_view tok, std::size_t lineNo, const char* what) {
-  if (tok.empty()) fail(lineNo, format("empty %s", what));
-  unsigned value = 0;
-  for (const char c : tok) {
-    if (c < '0' || c > '9') {
-      fail(lineNo, format("invalid %s '%s'", what, std::string(tok).c_str()));
-    }
-    if (value > 100000u) {
-      fail(lineNo, format("%s '%s' out of range", what, std::string(tok).c_str()));
-    }
-    value = value * 10 + static_cast<unsigned>(c - '0');
+  const ParsedNumber n = parseDecimal(tok, 100000);
+  if (n.status == NumberStatus::NotANumber) {
+    fail(lineNo, format("invalid %s '%s'", what, std::string(tok).c_str()));
   }
-  return value;
+  if (n.status == NumberStatus::OutOfRange) {
+    fail(lineNo, format("%s '%s' out of range", what, std::string(tok).c_str()));
+  }
+  return static_cast<unsigned>(n.value);
 }
 
 }  // namespace

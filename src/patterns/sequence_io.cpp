@@ -3,7 +3,6 @@
 #include <cctype>
 #include <fstream>
 #include <istream>
-#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -17,22 +16,18 @@ namespace {
   throw Error(format("sequence line %zu: %s", lineNo, msg.c_str()));
 }
 
-/// Strict 64-bit count parse: digits only, overflow rejected (no silent
-/// stoul truncation — a declared count past 2^64 is malformed, not wrapped).
-std::uint64_t parseCount(const std::string& tok, std::size_t lineNo) {
-  if (tok.empty()) fail(lineNo, "patterns requires a count");
-  std::uint64_t v = 0;
-  for (const char c : tok) {
-    if (c < '0' || c > '9') {
-      fail(lineNo, "malformed pattern count '" + tok + "'");
-    }
-    const std::uint64_t d = static_cast<std::uint64_t>(c - '0');
-    if (v > (std::numeric_limits<std::uint64_t>::max() - d) / 10) {
-      fail(lineNo, "pattern count '" + tok + "' overflows 64 bits");
-    }
-    v = v * 10 + d;
+/// Strict 64-bit count parse (util/strings.hpp parseDecimal): digits only,
+/// overflow rejected (no silent stoul truncation — a declared count past
+/// 2^64 is malformed, not wrapped).
+std::uint64_t parseCount(std::string_view tok, std::size_t lineNo) {
+  const ParsedNumber n = parseDecimal(tok);
+  if (n.status == NumberStatus::NotANumber) {
+    fail(lineNo, "malformed pattern count '" + std::string(tok) + "'");
   }
-  return v;
+  if (n.status == NumberStatus::OutOfRange) {
+    fail(lineNo, "pattern count '" + std::string(tok) + "' overflows 64 bits");
+  }
+  return n.value;
 }
 
 /// Parses the assignments of a `set` line into an InputSetting.
@@ -120,7 +115,7 @@ TestSequence parseSequence(const Network& net, const std::string& text) {
     } else if (kind == "PATTERNS") {
       if (tok.size() != 2) fail(lineNo, "patterns takes exactly one count");
       if (declared.has_value()) fail(lineNo, "duplicate patterns directive");
-      declared = parseCount(std::string(tok[1]), lineNo);
+      declared = parseCount(tok[1], lineNo);
     } else if (kind == "PATTERN") {
       if (tok.size() > 2) {
         fail(lineNo, "pattern takes at most one label token");

@@ -156,8 +156,7 @@ ScenarioResult BenchRunner::runScenario(
       BenchRow row;
       row.backend = spec.seuLabel();
       row.jobs = spec.jobs;
-      row.policy =
-          spec.policy == DetectionPolicy::AnyDifference ? "any" : "definite";
+      row.policy = detectionPolicyName(spec.policy);
       row.dropDetected = spec.dropDetected;
       row.laneWidth = spec.laneWidth;
       row.reps = reps;
@@ -211,8 +210,7 @@ ScenarioResult BenchRunner::runScenario(
     BenchRow row;
     row.backend = spec.label();
     row.jobs = spec.jobs;
-    row.policy =
-        spec.policy == DetectionPolicy::AnyDifference ? "any" : "definite";
+    row.policy = detectionPolicyName(spec.policy);
     row.dropDetected = spec.dropDetected;
     row.laneWidth = spec.laneWidth;
     row.streamed = w.streamConfig.has_value();

@@ -50,7 +50,9 @@ std::optional<DetectionHistory> loadHistoryFile(
   ok = ok &&
        (expectedFingerprint == 0 || h.faultsFingerprint == expectedFingerprint);
   if (ok) {
-    h.detectedAtPattern.reserve(count);
+    // No reserve(count): the count is untrusted, and a hostile header must
+    // not size an allocation. Entries grow with what the file really holds,
+    // so an inflated count fails on the first missing entry.
     for (std::size_t i = 0; i < count && ok; ++i) {
       std::int32_t d = 0;
       ok = std::fscanf(f, " %" SCNd32, &d) == 1 && d >= -1;

@@ -88,9 +88,7 @@ JsonValue WorkloadSpec::toJson() const {
     v.set("schedule",
           JsonValue::makeString(sched::schedulePolicyName(schedule)));
   }
-  v.set("policy", JsonValue::makeString(
-                      policy == DetectionPolicy::AnyDifference ? "any"
-                                                               : "definite"));
+  v.set("policy", JsonValue::makeString(detectionPolicyName(policy)));
   v.set("dropDetected", JsonValue::makeBool(dropDetected));
   return v;
 }
@@ -154,9 +152,11 @@ WorkloadSpec WorkloadSpec::fromJson(const JsonValue& v) {
                 "' (want contiguous or history)");
   }
   const std::string policy = v.stringOr("policy", "definite");
-  if (policy == "any") spec.policy = DetectionPolicy::AnyDifference;
-  else if (policy == "definite") spec.policy = DetectionPolicy::DefiniteOnly;
-  else throw Error("workload: unknown policy '" + policy + "'");
+  if (const auto parsed = parseDetectionPolicy(policy)) {
+    spec.policy = *parsed;
+  } else {
+    throw Error("workload: unknown policy '" + policy + "'");
+  }
   spec.dropDetected = v.boolOr("dropDetected", true);
   return spec;
 }

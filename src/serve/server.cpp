@@ -71,7 +71,7 @@ Server::Server(ServerOptions options)
           options.checkpointBudgetBytes,
           std::max<std::size_t>(1, options.storeEntries),
           {}})),
-      pool_(EnginePoolOptions{std::max(1u, options.poolEngines), store_}),
+      pool_(EnginePoolOptions{std::max(1u, options.poolEngines), store_, {}}),
       queue_(options.queueBound),
       startTime_(std::chrono::steady_clock::now()) {}
 

@@ -48,6 +48,22 @@ std::string toUpper(std::string_view s) {
   return out;
 }
 
+ParsedNumber parseDecimal(std::string_view text, std::uint64_t maxValue) {
+  if (text.empty()) return {};
+  for (const char c : text) {
+    if (c < '0' || c > '9') return {};
+  }
+  std::uint64_t value = 0;
+  for (const char c : text) {
+    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
+    if (digit > maxValue || value > (maxValue - digit) / 10) {
+      return {NumberStatus::OutOfRange, 0};
+    }
+    value = value * 10 + digit;
+  }
+  return {NumberStatus::Ok, value};
+}
+
 std::string format(const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);

@@ -263,6 +263,11 @@ TEST(SchedulerMatrixTest, HistorySidecarRejectsMalformedFiles) {
   // Trailing garbage after the promised entries.
   writeText("fmossim-history v1\nfaults 00000000000000aa 1\n3\nextra\n");
   EXPECT_FALSE(sched::loadHistoryFile(path).has_value());
+  // A hostile count (2^60) must be refused, not used to size an allocation
+  // (it used to abort the process with std::bad_alloc).
+  writeText("fmossim-history v1\nfaults 00000000000000aa 1152921504606846976\n"
+            "3\n");
+  EXPECT_FALSE(sched::loadHistoryFile(path).has_value());
   // Entry below -1 (no such pattern index).
   writeText("fmossim-history v1\nfaults 00000000000000aa 1\n-2\n");
   EXPECT_FALSE(sched::loadHistoryFile(path).has_value());

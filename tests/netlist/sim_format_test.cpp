@@ -103,6 +103,18 @@ TEST(SimFormatTest, RejectsNonStrictIntegers) {
   EXPECT_THROW(parseSimNetlist("n g a b 2x\n"), Error);
   EXPECT_THROW(parseSimNetlist("node a -1\nn g a b\n"), Error);
   EXPECT_THROW(parseSimNetlist("n g a b 99999999999999\n"), Error);
+  // The 100000 cap is exact: 1000009 used to pass a bound checked before
+  // the final multiply and only failed later, in the builder.
+  for (const char* text : {"node a 1000009\nn g a b\n", "n g a b 1000009\n"}) {
+    try {
+      parseSimNetlist(text);
+      FAIL() << "expected Error for " << text;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("'1000009' out of range"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(SimFormatTest, OutOfRangeDeclarationsCarryLineNumbers) {

@@ -113,5 +113,31 @@ TEST(StringsTest, Format) {
   EXPECT_EQ(format("plain"), "plain");
 }
 
+TEST(StringsTest, ParseDecimalIsStrict) {
+  const auto status = [](std::string_view text, std::uint64_t max) {
+    return parseDecimal(text, max).status;
+  };
+  EXPECT_EQ(parseDecimal("0").value, 0u);
+  EXPECT_EQ(parseDecimal("18446744073709551615").value,
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(parseDecimal("100000", 100000).value, 100000u);
+  for (const char* bad : {"", "-1", "+1", " 1", "1 ", "12abc", "0x10", "1e3",
+                          "3.5", "99999999999999999999x"}) {
+    EXPECT_EQ(status(bad, 1000), NumberStatus::NotANumber) << bad;
+  }
+  EXPECT_EQ(status("18446744073709551616", UINT64_MAX),
+            NumberStatus::OutOfRange);
+  EXPECT_EQ(status("99999999999999999999", UINT64_MAX),
+            NumberStatus::OutOfRange);
+  // The range check is exact: the first value past the cap is refused,
+  // including values whose last digit alone would not overflow the cap.
+  EXPECT_EQ(status("100001", 100000), NumberStatus::OutOfRange);
+  EXPECT_EQ(status("1000009", 100000), NumberStatus::OutOfRange);
+  EXPECT_EQ(status("4294967296", 4294967295u), NumberStatus::OutOfRange);
+  EXPECT_EQ(status("9", 8), NumberStatus::OutOfRange);
+  EXPECT_EQ(status("1", 0), NumberStatus::OutOfRange);
+  EXPECT_EQ(status("0", 0), NumberStatus::Ok);
+}
+
 }  // namespace
 }  // namespace fmossim
