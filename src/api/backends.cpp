@@ -13,7 +13,7 @@ FaultSimResult ConcurrentBackend::run(const TestSequence& seq,
   // The core engine is single-shot; a fresh instance per call makes the
   // interface-level run() repeatable.
   ConcurrentFaultSimulator sim(net_, faults_, options_);
-  return onPattern ? sim.run(seq, onPattern) : sim.run(seq);
+  return sim.run(seq, onPattern);
 }
 
 FaultSimResult ConcurrentBackend::runStream(PatternSource& source,

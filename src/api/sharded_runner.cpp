@@ -38,12 +38,6 @@ ShardedRunner::ShardedRunner(const Network& net, FaultList faults,
   }
 }
 
-std::vector<std::pair<std::uint32_t, std::uint32_t>> ShardedRunner::makeBatches(
-    std::uint32_t numFaults, unsigned jobs, std::uint32_t batchFaults,
-    std::uint32_t laneWidth) {
-  return sched::contiguousBatches(numFaults, jobs, batchFaults, laneWidth);
-}
-
 FaultSimResult mergeShardResults(
     const std::vector<FaultSimResult>& shardResults,
     const std::vector<std::pair<std::uint32_t, std::uint32_t>>& slices,
@@ -60,9 +54,20 @@ FaultSimResult mergeShardResults(
   }
   merged.detectedAtPattern.assign(numFaults, -1);
 
-  merged.perPattern.resize(numPatterns);
-  for (std::uint32_t pi = 0; pi < numPatterns; ++pi) {
-    merged.perPattern[pi].index = pi;
+  // Rows are summed only when there are rows to sum: rowless (streamed)
+  // shards merge into a rowless result, whose rows are derivable from the
+  // merged detection record (core/row_sink.hpp).
+  const auto hasRows = [](const FaultSimResult& r) {
+    return !r.perPattern.empty();
+  };
+  const bool rows =
+      std::any_of(shardResults.begin(), shardResults.end(), hasRows) ||
+      (good != nullptr && !good->perPatternGoodEvals().empty());
+  if (rows) {
+    merged.perPattern.resize(numPatterns);
+    for (std::uint32_t pi = 0; pi < numPatterns; ++pi) {
+      merged.perPattern[pi].index = pi;
+    }
   }
 
   for (std::size_t s = 0; s < shardResults.size(); ++s) {
@@ -95,7 +100,8 @@ FaultSimResult mergeShardResults(
     // mid-run fault injection this derivation, and the sum, must change.)
     merged.maxAlive += r.maxAlive;
     merged.finalRecords += r.finalRecords;
-    for (std::uint32_t pi = 0; pi < numPatterns && pi < r.perPattern.size();
+    for (std::size_t pi = 0; pi < merged.perPattern.size() &&
+                             pi < r.perPattern.size();
          ++pi) {
       PatternStat& row = merged.perPattern[pi];
       const PatternStat& src = r.perPattern[pi];
@@ -112,8 +118,8 @@ FaultSimResult mergeShardResults(
     merged.finalGoodStates = good->finalGoodStates();
     merged.totalNodeEvals += good->totalGoodEvals();
     const auto& goodEvals = good->perPatternGoodEvals();
-    for (std::uint32_t pi = 0; pi < numPatterns && pi < goodEvals.size();
-         ++pi) {
+    for (std::size_t pi = 0;
+         pi < merged.perPattern.size() && pi < goodEvals.size(); ++pi) {
       merged.perPattern[pi].nodeEvals += goodEvals[pi];
     }
   }
@@ -125,13 +131,23 @@ FaultSimResult mergeShardResults(
   return merged;
 }
 
-double ShardedRunner::ensureCheckpoint(const TestSequence& seq) {
-  const std::uint64_t fp = GoodMachineCheckpoint::fingerprint(seq);
-  if (checkpoint_ != nullptr && checkpoint_->seqFingerprint() == fp) return 0.0;
+double ShardedRunner::acquireCheckpoint(const TestSequence* seq,
+                                        PatternSource* source) {
+  // Each kind of run reuses only its own kind of recording: a materialized
+  // merge needs the per-pattern good evaluations a streamed recording omits.
+  const bool streamed = source != nullptr;
+  const std::uint64_t fp = streamed ? source->fingerprint()
+                                    : GoodMachineCheckpoint::fingerprint(*seq);
+  if (checkpoint_ != nullptr && checkpoint_->streamed() == streamed &&
+      checkpoint_->seqFingerprint() == fp) {
+    return 0.0;
+  }
   // Charge the recording time to the run that actually recorded; cache
   // hits (in this runner or a shared store) cost nothing.
   bool recordedNow = false;
-  checkpoint_ = store_->acquire(net_, seq, options_, &recordedNow);
+  checkpoint_ = streamed
+                    ? store_->acquireStream(net_, *source, options_, &recordedNow)
+                    : store_->acquire(net_, *seq, options_, &recordedNow);
   return recordedNow ? checkpoint_->recordSeconds() : 0.0;
 }
 
@@ -167,9 +183,16 @@ void ShardedRunner::publishHistory(const FaultSimResult& merged) const {
   }
 }
 
-std::vector<FaultSimResult> ShardedRunner::runReplayBatches(
-    const sched::BatchPlan& plan,
-    const std::function<FaultSimResult(ConcurrentFaultSimulator&)>& runOne) {
+FaultSimResult ShardedRunner::runBatches(const Timer& total,
+                                         double recordSeconds, bool rows) {
+  // More threads than cores only adds contention (the batch queue already
+  // decouples batch count from worker count), so the workers are capped at
+  // the hardware's concurrency, and the plan is sized for the workers that
+  // actually run: a 1-core machine does not pay 4 cores' worth of per-batch
+  // replay overhead. Results are identical for any worker and batch count.
+  const unsigned workers =
+      std::min(jobs_, std::max(1u, std::thread::hardware_concurrency()));
+  const sched::BatchPlan plan = buildPlan(workers);
   const std::vector<std::pair<std::uint32_t, std::uint32_t>>& batches =
       plan.slices;
   std::vector<FaultSimResult> batchResults(batches.size());
@@ -180,44 +203,39 @@ std::vector<FaultSimResult> ShardedRunner::runReplayBatches(
           nextBatch.fetch_add(1, std::memory_order_relaxed);
       if (b >= batches.size()) return;
       const auto [begin, end] = batches[b];
-      // Gather the batch's faults through the schedule's permutation (the
-      // identity plan takes the straight copy below).
+      // Gather the batch's faults through the schedule's permutation
+      // (slice positions → global fault indices).
       std::vector<Fault> gathered;
-      if (plan.order.empty()) {
-        gathered.assign(faults_.all().begin() + begin,
-                        faults_.all().begin() + end);
-      } else {
-        gathered.reserve(end - begin);
-        for (std::uint32_t pos = begin; pos < end; ++pos) {
-          gathered.push_back(faults_.all()[plan.order[pos]]);
-        }
+      gathered.reserve(end - begin);
+      for (std::uint32_t pos = begin; pos < end; ++pos) {
+        gathered.push_back(faults_.all()[plan.globalIndex(pos)]);
       }
       FaultList batch(std::move(gathered));
       FsimOptions batchOptions = options_;
       if (b < plan.hintWindows.size()) {
         batchOptions.shareHintWindows = plan.hintWindows[b];
       }
+      // Workers replay entirely from the trace: neither the sequence nor the
+      // source is touched again after the recording.
       ConcurrentFaultSimulator sim(net_, batch, batchOptions, nullptr,
                                    checkpoint_.get());
-      batchResults[b] = runOne(sim);
+      std::vector<PatternStat> batchRows;
+      if (rows) batchRows.reserve(checkpoint_->numPatterns());
+      MaterializingRowSink sink(batchRows);
+      batchResults[b] = sim.runReplay(rows ? &sink : nullptr);
+      batchResults[b].perPattern = std::move(batchRows);
     }
   };
-
-  // More threads than cores only adds contention (the batch queue already
-  // decouples batch count from worker count), so the effective worker count
-  // is capped at the hardware's concurrency. Results are identical for any
-  // worker and batch count.
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const unsigned workers = std::min<std::size_t>(
-      std::min(jobs_, hw), std::max<std::size_t>(1, batches.size()));
-  if (workers <= 1) {
+  const unsigned threads = static_cast<unsigned>(
+      std::min<std::size_t>(workers, std::max<std::size_t>(1, batches.size())));
+  if (threads <= 1) {
     worker();
   } else {
-    std::vector<std::exception_ptr> errors(workers);
-    std::vector<std::thread> threads;
-    threads.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w) {
-      threads.emplace_back([&, w] {
+    std::vector<std::exception_ptr> errors(threads);
+    std::vector<std::thread> pool;
+    pool.reserve(threads);
+    for (unsigned w = 0; w < threads; ++w) {
+      pool.emplace_back([&, w] {
         try {
           worker();
         } catch (...) {
@@ -225,93 +243,43 @@ std::vector<FaultSimResult> ShardedRunner::runReplayBatches(
         }
       });
     }
-    for (std::thread& t : threads) t.join();
+    for (std::thread& t : pool) t.join();
     for (const std::exception_ptr& e : errors) {
       if (e) std::rethrow_exception(e);
     }
   }
-  return batchResults;
-}
 
-FaultSimResult ShardedRunner::run(const TestSequence& seq,
-                                  const PatternCallback& onPattern) {
-  Timer total;
-  const double recordSeconds = ensureCheckpoint(seq);
-  // The batch schedule is sized for the workers that will actually run (see
-  // runReplayBatches' hardware cap), so a 1-core machine does not pay 4
-  // cores' worth of per-batch replay overhead.
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const unsigned effective = std::min(jobs_, hw);
-  const sched::BatchPlan plan = buildPlan(effective);
-
-  const std::vector<FaultSimResult> batchResults = runReplayBatches(
-      plan, [&seq](ConcurrentFaultSimulator& sim) { return sim.run(seq); });
-
-  FaultSimResult merged =
-      mergeShardResults(batchResults, plan.slices, seq.size(),
-                        checkpoint_.get(),
-                        plan.order.empty() ? nullptr : &plan.order);
+  // The row count is 32-bit (a materialized sequence's bound); a rowless
+  // streamed merge may cover more patterns, so the exact count is stamped
+  // after the merge.
+  FaultSimResult merged = mergeShardResults(
+      batchResults, plan.slices,
+      rows ? static_cast<std::uint32_t>(checkpoint_->numPatterns()) : 0,
+      checkpoint_.get(), plan.order.empty() ? nullptr : &plan.order);
+  merged.numPatterns = checkpoint_->numPatterns();
   merged.droppedDetected = options_.dropDetected;
   merged.totalSeconds = total.seconds();
   merged.totalCpuSeconds += recordSeconds;
   publishHistory(merged);
+  return merged;
+}
+
+FaultSimResult ShardedRunner::run(const TestSequence& seq,
+                                  const PatternCallback& onPattern) {
+  const Timer total;
+  const double recordSeconds = acquireCheckpoint(&seq, nullptr);
+  FaultSimResult merged = runBatches(total, recordSeconds, /*rows=*/true);
   if (onPattern) {
     for (const PatternStat& st : merged.perPattern) onPattern(st);
   }
   return merged;
 }
 
-double ShardedRunner::ensureCheckpointStream(PatternSource& source) {
-  const std::uint64_t fp = source.fingerprint();
-  if (checkpoint_ != nullptr && checkpoint_->streamed() &&
-      checkpoint_->seqFingerprint() == fp) {
-    return 0.0;
-  }
-  bool recordedNow = false;
-  checkpoint_ = store_->acquireStream(net_, source, options_, &recordedNow);
-  return recordedNow ? checkpoint_->recordSeconds() : 0.0;
-}
-
 FaultSimResult ShardedRunner::runStream(PatternSource& source, RowSink* sink,
                                         const PatternCallback& onPattern) {
-  Timer total;
-  const double recordSeconds = ensureCheckpointStream(source);
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const unsigned effective = std::min(jobs_, hw);
-  const sched::BatchPlan plan = buildPlan(effective);
-
-  // Workers replay entirely from the trace — the source was consumed once by
-  // the recording and is never touched again.
-  const std::vector<FaultSimResult> batchResults = runReplayBatches(
-      plan, [](ConcurrentFaultSimulator& sim) { return sim.runReplay(); });
-
-  // Rowless merge: the materialized merge's per-pattern row summing (and its
-  // perPatternGoodEvals add-back, which streamed recordings do not carry) is
-  // skipped; everything else matches mergeShardResults.
-  FaultSimResult merged;
-  merged.numFaults = faults_.size();
-  merged.numPatterns = checkpoint_->numPatterns();
-  merged.droppedDetected = options_.dropDetected;
-  merged.detectedAtPattern.assign(merged.numFaults, -1);
-  for (std::size_t b = 0; b < batchResults.size(); ++b) {
-    const FaultSimResult& r = batchResults[b];
-    const auto [begin, end] = plan.slices[b];
-    for (std::uint32_t i = 0; i < end - begin; ++i) {
-      merged.detectedAtPattern[plan.globalIndex(begin + i)] =
-          r.detectedAtPattern[i];
-    }
-    merged.numDetected += r.numDetected;
-    merged.potentialDetections += r.potentialDetections;
-    merged.totalNodeEvals += r.totalNodeEvals;
-    merged.totalCpuSeconds += r.totalCpuSeconds;
-    merged.maxAlive += r.maxAlive;
-    merged.finalRecords += r.finalRecords;
-  }
-  merged.finalGoodStates = checkpoint_->finalGoodStates();
-  merged.totalNodeEvals += checkpoint_->totalGoodEvals();
-  merged.totalSeconds = total.seconds();
-  merged.totalCpuSeconds += recordSeconds;
-  publishHistory(merged);
+  const Timer total;
+  const double recordSeconds = acquireCheckpoint(nullptr, &source);
+  FaultSimResult merged = runBatches(total, recordSeconds, /*rows=*/false);
   if (sink != nullptr || onPattern) {
     // Derived rows: triples exact, per-row timing/work zero (see
     // core/row_sink.hpp).

@@ -60,6 +60,7 @@
 #include "core/checkpoint.hpp"
 #include "core/checkpoint_store.hpp"
 #include "sched/fault_schedule.hpp"
+#include "util/timer.hpp"
 
 namespace fmossim {
 
@@ -72,8 +73,8 @@ class ShardedRunner : public FaultSimulator {
   /// at run time the thread count is additionally capped at the hardware
   /// concurrency (the batch queue decouples batch count from worker count).
   /// `batchFaults` sets the fault-batch size: 0 selects the auto schedule
-  /// (see makeBatches), any other value fixed-size batches of that many
-  /// faults.
+  /// (see sched::contiguousBatches), any other value fixed-size batches of
+  /// that many faults.
   ///
   /// `store` (optional) is a shared checkpoint cache; recordings are then
   /// reused across every runner and engine holding the same store, and
@@ -117,26 +118,29 @@ class ShardedRunner : public FaultSimulator {
   /// first run or after reset() (diagnostics and tests).
   const GoodMachineCheckpoint* checkpoint() const { return checkpoint_.get(); }
 
-  /// Runs every fault batch through a checkpoint-replaying concurrent engine
-  /// (workers steal batches from a shared queue) and merges:
-  ///   * detectedAtPattern re-indexed to the global fault order,
-  ///   * PatternStat rows summed per pattern (cumulative recomputed),
-  ///   * the checkpoint's good-machine node evaluations added once, making
-  ///     totalNodeEvals equal to an unsharded run's,
-  ///   * totalSeconds = wall clock of the whole sharded run (including
-  ///     checkpoint recording when this call had to record one);
-  ///     totalCpuSeconds = engine time summed across batches + recording.
-  /// `onPattern` fires after the merge, once per pattern in order.
+  /// Both runs take one batch path:
+  ///   1. acquire the checkpoint from the store (recording on a miss): a
+  ///      materialized recording for run(), a *streamed* one for runStream()
+  ///      — recorded by consuming the source once, never materialized, and
+  ///      stored under a distinct key because it omits the per-pattern good
+  ///      evaluations a rowed merge needs;
+  ///   2. plan the batches for the workers that will actually run (jobs
+  ///      capped at the hardware concurrency) and replay every batch through
+  ///      ConcurrentFaultSimulator::runReplay — workers never touch the
+  ///      sequence or the source — materializing its rows for run() only;
+  ///   3. merge with mergeShardResults: detectedAtPattern re-indexed to the
+  ///      global fault order, rows (when the batches carry them) summed per
+  ///      pattern with cumulative recomputed, and the checkpoint's
+  ///      good-machine evaluations added once, so totalNodeEvals equals an
+  ///      unsharded run's. totalSeconds is the wall clock of the whole run
+  ///      (including recording when this call recorded); totalCpuSeconds is
+  ///      engine time summed across batches plus the recording.
+  /// run() fires `onPattern` after the merge, once per pattern in order.
   FaultSimResult run(const TestSequence& seq,
                      const PatternCallback& onPattern) override;
   using FaultSimulator::run;
 
-  /// Native streaming run: acquires a *streamed* checkpoint for the source
-  /// (recorded by consuming it once, never materialized — distinct store
-  /// key, since streamed recordings omit the per-pattern good-eval array the
-  /// materialized merge needs), then replays every fault batch entirely from
-  /// the trace (ConcurrentFaultSimulator::runReplay — workers never touch
-  /// the source). The merged result is rowless; rows are derived from the
+  /// Streaming run: the merged result is rowless; rows are derived from the
   /// merged detection record and delivered to `sink`/`onPattern` in pattern
   /// order (row triples exact, per-row timing/work fields zero — only the
   /// run-level totals are meaningful, as documented in core/row_sink.hpp).
@@ -153,29 +157,12 @@ class ShardedRunner : public FaultSimulator {
     if (ownsStore_) store_->clear();
   }
 
-  /// The contiguous work-stealing batch schedule: contiguous, ascending,
-  /// covering [0, numFaults). batchFaults > 0 yields fixed-size batches; 0
-  /// (auto) yields ~4 batches per worker, floored at 32 faults so per-batch
-  /// checkpoint-replay overhead stays amortized. The auto size is rounded up
-  /// to a multiple of `laneWidth` so lane-sharing windows (which each batch
-  /// engine forms over its locally renumbered faults) line up with batch
-  /// boundaries instead of being split across shards — results are
-  /// bit-identical either way; alignment only preserves the sharing
-  /// opportunities. Deterministic — workers only race for batch *claims*,
-  /// never for boundaries. Delegates to sched::contiguousBatches (kept as a
-  /// static here for the scheduler unit tests and older callers).
-  static std::vector<std::pair<std::uint32_t, std::uint32_t>> makeBatches(
-      std::uint32_t numFaults, unsigned jobs, std::uint32_t batchFaults,
-      std::uint32_t laneWidth = 1);
-
  private:
-  /// Fetches the checkpoint for `seq` from the store (recording on a cache
-  /// miss). Returns the recording seconds this call newly spent (0 on a
-  /// cache hit) for the totalCpuSeconds accounting.
-  double ensureCheckpoint(const TestSequence& seq);
-  /// Streaming twin of ensureCheckpoint: keyed on the source fingerprint,
-  /// recording through the store's streaming path on a miss.
-  double ensureCheckpointStream(PatternSource& source);
+  /// Step 1 of the batch path: points checkpoint_ at the recording of `seq`
+  /// (materialized) or `source` (streamed; exactly one is non-null),
+  /// recording on a store miss. Returns the recording seconds this call
+  /// newly spent (0 on a cache hit) for the totalCpuSeconds accounting.
+  double acquireCheckpoint(const TestSequence* seq, PatternSource* source);
   /// Builds this run's batch plan from the configured policy: the History
   /// policy consults the shared store first, then the sidecar file, and
   /// falls back to the contiguous layout when neither has a record for this
@@ -185,12 +172,11 @@ class ShardedRunner : public FaultSimulator {
   /// sidecar file (whichever are attached) so the next run can schedule on
   /// it — contiguous runs feed history runs.
   void publishHistory(const FaultSimResult& merged) const;
-  /// Replays every batch of the plan against checkpoint_ across the worker
-  /// pool: batch b gathers its faults through plan.order (slice positions →
-  /// global fault indices) and carries its hint windows in its FsimOptions.
-  std::vector<FaultSimResult> runReplayBatches(
-      const sched::BatchPlan& plan,
-      const std::function<FaultSimResult(ConcurrentFaultSimulator&)>& runOne);
+  /// Steps 2-3 of the batch path (see run()) against checkpoint_; `total`
+  /// started before the checkpoint was acquired. Batch b carries its plan
+  /// hint windows in its FsimOptions.
+  FaultSimResult runBatches(const Timer& total, double recordSeconds,
+                            bool rows);
 
   const Network& net_;
   FaultList faults_;
@@ -206,8 +192,12 @@ class ShardedRunner : public FaultSimulator {
   std::uint64_t faultsFp_;  ///< history key (faultListFingerprint)
 };
 
-/// Merges per-batch results (in batch order, batch b covering schedule
-/// positions [slices[b].first, slices[b].second)) into one FaultSimResult.
+/// The one shard merge: merges per-batch results (in batch order, batch b
+/// covering schedule positions [slices[b].first, slices[b].second)) into one
+/// FaultSimResult. `numPatterns` rows are built and summed only when the
+/// shard results carry rows (or `good` carries per-pattern good-machine
+/// evaluations); rowless shards, as a streamed run produces, merge into a
+/// rowless result.
 /// `order` (optional) is the schedule's fault permutation: shard-local
 /// detection slot i of batch b lands at global fault index
 /// order[slices[b].first + i]; null means the identity (the classic

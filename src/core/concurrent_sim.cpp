@@ -185,6 +185,8 @@ ConcurrentFaultSimulator::ConcurrentFaultSimulator(
     for (std::uint32_t n = 0; n < net_.numNodes(); ++n) {
       scheduleGood(NodeId(n));
     }
+  } else {
+    replayBeginSettle();
   }
   inject();
   settleAll();
@@ -255,6 +257,8 @@ void ConcurrentFaultSimulator::scheduleFaulty(CircuitId c, NodeId n) {
 
 SettleResult ConcurrentFaultSimulator::applySetting(
     std::span<const std::pair<NodeId, State>> assignments) {
+  FMOSSIM_ASSERT(replay_ == nullptr,
+                 "a replay engine takes its input changes from the checkpoint");
   for (const auto& [n, s] : assignments) {
     if (!net_.isInput(n)) {
       throw Error("applySetting: '" + net_.node(n).name + "' is not an input");
@@ -313,13 +317,6 @@ void ConcurrentFaultSimulator::scheduleSettingSeeds(NodeId n, State /*oldGood*/)
 
 SettleResult ConcurrentFaultSimulator::settleAll() {
   if (record_ != nullptr) record_->beginSettle();
-  if (replay_ != nullptr) {
-    // runReplay() enters the settle itself (it needs the reader positioned
-    // before settleAll, to apply the recorded input changes); consume that
-    // entry instead of advancing past it.
-    if (!replayEntered_) replayBeginSettle();
-    replayEntered_ = false;
-  }
   SettleResult res;
   bool coerce = false;
   const std::uint32_t hardLimit =
@@ -1176,74 +1173,130 @@ State ConcurrentFaultSimulator::faultyState(NodeId n, CircuitId c) const {
   return stateIn(n, c);
 }
 
-FaultSimResult ConcurrentFaultSimulator::run(const TestSequence& seq) {
-  return run(seq, nullptr);
+// --- the pattern loop --------------------------------------------------------
+
+bool ConcurrentFaultSimulator::advancePattern(PatternSource* source,
+                                              Pattern& scratch) {
+  if (replay_ == nullptr) {
+    if (!source->next(scratch)) return false;
+    for (const InputSetting& setting : scratch.settings) {
+      applySetting(setting.span());
+    }
+    return true;
+  }
+  // Trace-driven: each recorded settle is entered, its input changes are
+  // applied exactly as applySetting would have, and it is settled, up to the
+  // settle the recording engine observed outputs after.
+  while (replaySettle_ < replay_->numSettles()) {
+    const std::uint32_t si = replaySettle_;
+    replayBeginSettle();
+    for (const auto& ch : replayReader_->inputChanges()) {
+      const State old = table_.good(ch.node);
+      table_.setGood(ch.node, ch.value);
+      scheduleSettingSeeds(ch.node, old);
+    }
+    settleAll();
+    if (replay_->patternEndsAtSettle(si)) return true;
+  }
+  return false;
 }
 
-FaultSimResult ConcurrentFaultSimulator::run(
-    const TestSequence& seq,
+void ConcurrentFaultSimulator::perturbAt(std::uint64_t pattern) {
+  bool perturbed = false;
+  for (std::uint32_t i = 0; i < numMachines_; ++i) {
+    TransientMachine& m = transient_[i];
+    const CircuitId c = i + 1;
+    if (!m.injected && m.atPattern == pattern) {
+      m.injected = true;
+      if (alive_[c]) {
+        injectTransientFlip(c);
+        perturbed = true;
+      }
+    } else if (m.pulseActive && alive_[c] &&
+               pattern == m.atPattern + m.pulsePatterns) {
+      releaseTransientPulse(c);
+      perturbed = true;
+    }
+  }
+  // The good machine is quiet between patterns and the current replay
+  // settle's phases are already consumed, so this settle runs faulty
+  // activity only and never moves the replay cursor.
+  if (perturbed) settleAll();
+}
+
+FaultSimResult ConcurrentFaultSimulator::patternLoop(
+    PatternSource* source, RowSink* sink,
     const std::function<void(const PatternStat&)>& onPattern) {
   FMOSSIM_ASSERT(!ran_, "ConcurrentFaultSimulator::run may only be called once");
-  FMOSSIM_ASSERT(!transientMode_,
-                 "transient-mode engines run via runTransient/runTransientTail");
   ran_ = true;
-  if (replay_ != nullptr) {
-    FMOSSIM_ASSERT(
-        replay_->seqFingerprint() == GoodMachineCheckpoint::fingerprint(seq),
-        "checkpoint was recorded for a different test sequence");
-  }
-  FaultSimResult res;
-  res.numFaults = numMachines_;
-  res.numPatterns = seq.size();
-  res.droppedDetected = options_.dropDetected;
-  res.perPattern.reserve(seq.size());
+  FMOSSIM_ASSERT((source == nullptr) == (replay_ != nullptr),
+                 "a pattern source drives exactly the self-simulating engines");
+  const std::vector<NodeId>& outputs =
+      replay_ != nullptr ? replay_->outputs() : source->outputs();
+  const bool emitRows = sink != nullptr || static_cast<bool>(onPattern);
+  const auto emit = [&](const PatternStat& st) {
+    if (sink != nullptr) sink->row(st);
+    if (onPattern) onPattern(st);
+  };
 
   Timer total;
   const std::uint64_t evalsAtStart = nodeEvals();
+  // A checkpoint-resumed transient engine starts at its resume boundary:
+  // the injection group perturbs there, before the first simulated pattern.
+  const bool resumed = transientMode_ && replay_ != nullptr;
+  if (resumed) perturbAt(resumeAfterPattern_);
+
   std::uint32_t cumulative = 0;
   bool earlyExit = false;
-
-  for (std::uint32_t pi = 0; pi < seq.size(); ++pi) {
+  std::uint64_t pi = resumed ? resumeAfterPattern_ + 1 : 0;
+  Pattern scratch;
+  for (;; ++pi) {
     Timer patternTimer;
     const std::uint64_t evalsBefore = nodeEvals();
-    for (const InputSetting& setting : seq[pi].settings) {
-      applySetting(setting.span());
-    }
-    const std::uint32_t newly = observe(seq.outputs(), pi);
+    if (!advancePattern(source, scratch)) break;
+    const std::uint32_t newly =
+        observe(outputs, static_cast<std::uint32_t>(pi));
     if (record_ != nullptr) record_->endPattern();
+    if (transientMode_) perturbAt(pi);
     cumulative += newly;
 
-    PatternStat st;
-    st.index = pi;
-    st.seconds = patternTimer.seconds();
-    st.nodeEvals = nodeEvals() - evalsBefore;
-    st.newlyDetected = newly;
-    st.cumulativeDetected = cumulative;
-    st.aliveAfter = aliveCount_;
-    res.perPattern.push_back(st);
-    if (onPattern) onPattern(st);
+    if (emitRows) {
+      PatternStat st;
+      st.index = static_cast<std::uint32_t>(pi);
+      st.seconds = patternTimer.seconds();
+      st.nodeEvals = nodeEvals() - evalsBefore;
+      st.newlyDetected = newly;
+      st.cumulativeDetected = cumulative;
+      st.aliveAfter = aliveCount_;
+      emit(st);
+    }
 
-    // Replay-mode early exit: with every faulty circuit detected and
-    // dropped, the remaining patterns would be pure good-machine replay.
-    // The rows they would produce are fully determined (no detections, no
-    // live circuits, no faulty solver work) and the checkpoint supplies the
-    // end-of-sequence good states, so the tail is synthesized instead of
-    // simulated — the lever that lets a fault batch cost only as many
-    // patterns as its hardest-to-detect fault needs.
+    // Replay early exit: with every faulty circuit detected and dropped, the
+    // remaining patterns would be pure good-machine replay. Their rows are
+    // fully determined (no detections, no live circuits, no faulty solver
+    // work) and the checkpoint supplies the end-of-sequence good states, so
+    // the tail is synthesized instead of simulated — the lever that lets a
+    // fault batch cost only as many patterns as its hardest fault needs.
     if (replay_ != nullptr && options_.dropDetected && aliveCount_ == 0 &&
-        pi + 1 < seq.size()) {
-      for (std::uint32_t rest = pi + 1; rest < seq.size(); ++rest) {
-        PatternStat tail;
-        tail.index = rest;
-        tail.cumulativeDetected = cumulative;
-        res.perPattern.push_back(tail);
-        if (onPattern) onPattern(tail);
+        pi + 1 < replay_->numPatterns()) {
+      if (emitRows) {
+        for (std::uint64_t rest = pi + 1; rest < replay_->numPatterns();
+             ++rest) {
+          PatternStat tail;
+          tail.index = static_cast<std::uint32_t>(rest);
+          tail.cumulativeDetected = cumulative;
+          emit(tail);
+        }
       }
       earlyExit = true;
       break;
     }
   }
 
+  FaultSimResult res;
+  res.numFaults = numMachines_;
+  res.numPatterns = replay_ != nullptr ? replay_->numPatterns() : pi;
+  res.droppedDetected = options_.dropDetected;
   res.detectedAtPattern = detectedAt_;
   res.numDetected = cumulative;
   res.maxAlive = maxAliveObserved_;
@@ -1264,154 +1317,48 @@ FaultSimResult ConcurrentFaultSimulator::run(
   return res;
 }
 
+FaultSimResult ConcurrentFaultSimulator::run(const TestSequence& seq) {
+  return run(seq, nullptr);
+}
+
+FaultSimResult ConcurrentFaultSimulator::run(
+    const TestSequence& seq,
+    const std::function<void(const PatternStat&)>& onPattern) {
+  FMOSSIM_ASSERT(!transientMode_,
+                 "transient-mode engines run via runTransient/runTransientTail");
+  if (replay_ != nullptr) {
+    FMOSSIM_ASSERT(
+        replay_->seqFingerprint() == GoodMachineCheckpoint::fingerprint(seq),
+        "checkpoint was recorded for a different test sequence");
+  }
+  std::vector<PatternStat> rows;
+  rows.reserve(seq.size());
+  MaterializingRowSink sink(rows);
+  MaterializedPatternSource source(seq);
+  FaultSimResult res =
+      patternLoop(replay_ == nullptr ? &source : nullptr, &sink, onPattern);
+  res.perPattern = std::move(rows);
+  return res;
+}
+
 FaultSimResult ConcurrentFaultSimulator::run(
     PatternSource& source, RowSink* sink,
     const std::function<void(const PatternStat&)>& onPattern) {
-  FMOSSIM_ASSERT(!ran_, "ConcurrentFaultSimulator::run may only be called once");
-  ran_ = true;
   FMOSSIM_ASSERT(replay_ == nullptr,
                  "streaming run does not take a replay checkpoint "
                  "(runReplay drives the sequence from the trace itself)");
   FMOSSIM_ASSERT(!transientMode_,
                  "transient-mode engines run via runTransient/runTransientTail");
-  FaultSimResult res;
-  res.numFaults = numMachines_;
-  res.droppedDetected = options_.dropDetected;
-
-  Timer total;
-  const std::uint64_t evalsAtStart = nodeEvals();
-  std::uint32_t cumulative = 0;
-  std::uint64_t pi = 0;
-  Pattern p;
-  while (source.next(p)) {
-    Timer patternTimer;
-    const std::uint64_t evalsBefore = nodeEvals();
-    for (const InputSetting& setting : p.settings) {
-      applySetting(setting.span());
-    }
-    const std::uint32_t newly =
-        observe(source.outputs(), static_cast<std::uint32_t>(pi));
-    if (record_ != nullptr) record_->endPattern();
-    cumulative += newly;
-
-    PatternStat st;
-    st.index = static_cast<std::uint32_t>(pi);
-    st.seconds = patternTimer.seconds();
-    st.nodeEvals = nodeEvals() - evalsBefore;
-    st.newlyDetected = newly;
-    st.cumulativeDetected = cumulative;
-    st.aliveAfter = aliveCount_;
-    if (sink != nullptr) sink->row(st);
-    if (onPattern) onPattern(st);
-    ++pi;
-  }
-  res.numPatterns = pi;
-
-  res.detectedAtPattern = detectedAt_;
-  res.numDetected = cumulative;
-  res.maxAlive = maxAliveObserved_;
-  res.finalGoodStates.reserve(net_.numNodes());
-  for (std::uint32_t n = 0; n < net_.numNodes(); ++n) {
-    res.finalGoodStates.push_back(table_.good(NodeId(n)));
-  }
-  res.finalRecords = table_.totalRecords();
-  res.potentialDetections = potentialDetections_;
-  res.totalSeconds = total.seconds();
-  res.totalCpuSeconds = res.totalSeconds;
-  res.totalNodeEvals = nodeEvals() - evalsAtStart;
-  return res;
+  return patternLoop(&source, sink, onPattern);
 }
 
 FaultSimResult ConcurrentFaultSimulator::runReplay(
     RowSink* sink, const std::function<void(const PatternStat&)>& onPattern) {
-  FMOSSIM_ASSERT(!ran_, "ConcurrentFaultSimulator::run may only be called once");
-  ran_ = true;
   FMOSSIM_ASSERT(replay_ != nullptr,
                  "runReplay requires a replay-mode engine (checkpoint given)");
   FMOSSIM_ASSERT(!transientMode_,
                  "transient-mode engines run via runTransient/runTransientTail");
-  FaultSimResult res;
-  res.numFaults = numMachines_;
-  res.numPatterns = replay_->numPatterns();
-  res.droppedDetected = options_.dropDetected;
-
-  Timer total;
-  const std::uint64_t evalsAtStart = nodeEvals();
-  std::uint32_t cumulative = 0;
-  bool earlyExit = false;
-  std::uint64_t patternIndex = 0;
-  const std::uint32_t numSettles = replay_->numSettles();
-
-  // Settle 0 (the initial all-X evaluation) already ran in the constructor.
-  // Each further settle is driven entirely from the trace: position the
-  // reader, apply the settle's recorded input changes exactly as
-  // applySetting would have, then settle (the guard in settleAll skips its
-  // own replayBeginSettle). Pattern boundaries come from the recorded
-  // end-of-pattern bits, so no TestSequence or PatternSource is needed.
-  Timer patternTimer;
-  std::uint64_t evalsBefore = nodeEvals();
-  for (std::uint32_t si = 1; si < numSettles; ++si) {
-    replayBeginSettle();
-    replayEntered_ = true;
-    for (const auto& ch : replayReader_->inputChanges()) {
-      const State old = table_.good(ch.node);
-      table_.setGood(ch.node, ch.value);
-      scheduleSettingSeeds(ch.node, old);
-    }
-    settleAll();
-    if (!replay_->patternEndsAtSettle(si)) continue;
-
-    const std::uint32_t newly = observe(
-        replay_->outputs(), static_cast<std::uint32_t>(patternIndex));
-    cumulative += newly;
-
-    PatternStat st;
-    st.index = static_cast<std::uint32_t>(patternIndex);
-    st.seconds = patternTimer.seconds();
-    st.nodeEvals = nodeEvals() - evalsBefore;
-    st.newlyDetected = newly;
-    st.cumulativeDetected = cumulative;
-    st.aliveAfter = aliveCount_;
-    if (sink != nullptr) sink->row(st);
-    if (onPattern) onPattern(st);
-    ++patternIndex;
-
-    // Same early exit as the materialized replay run: with every circuit
-    // detected and dropped the tail rows are fully determined, so they are
-    // synthesized instead of simulated.
-    if (options_.dropDetected && aliveCount_ == 0 &&
-        patternIndex < res.numPatterns) {
-      for (std::uint64_t rest = patternIndex; rest < res.numPatterns; ++rest) {
-        PatternStat tail;
-        tail.index = static_cast<std::uint32_t>(rest);
-        tail.cumulativeDetected = cumulative;
-        if (sink != nullptr) sink->row(tail);
-        if (onPattern) onPattern(tail);
-      }
-      earlyExit = true;
-      break;
-    }
-    patternTimer.reset();
-    evalsBefore = nodeEvals();
-  }
-
-  res.detectedAtPattern = detectedAt_;
-  res.numDetected = cumulative;
-  res.maxAlive = maxAliveObserved_;
-  if (earlyExit) {
-    res.finalGoodStates = replay_->finalGoodStates();
-  } else {
-    res.finalGoodStates.reserve(net_.numNodes());
-    for (std::uint32_t n = 0; n < net_.numNodes(); ++n) {
-      res.finalGoodStates.push_back(table_.good(NodeId(n)));
-    }
-  }
-  res.finalRecords = table_.totalRecords();
-  res.potentialDetections = potentialDetections_;
-  res.totalSeconds = total.seconds();
-  res.totalCpuSeconds = res.totalSeconds;
-  res.totalNodeEvals = nodeEvals() - evalsAtStart;
-  return res;
+  return patternLoop(nullptr, sink, onPattern);
 }
 
 // --- transient (SEU) runs (see header and faults/transient.hpp) ------------
@@ -1518,16 +1465,6 @@ void ConcurrentFaultSimulator::releaseTransientPulse(CircuitId c) {
   scheduleTransientSite(c, m.node);
 }
 
-SettleResult ConcurrentFaultSimulator::settleInPlace() {
-  // An injection or release perturbs circuits *between* patterns, where the
-  // good machine is quiet: in replay mode the cursor must not advance (there
-  // is no recorded settle for this perturbation), and the current settle's
-  // phases are already consumed, so only faulty activity runs — exactly what
-  // a self-simulating engine does with an empty good queue.
-  if (replay_ != nullptr) replayEntered_ = true;
-  return settleAll();
-}
-
 bool ConcurrentFaultSimulator::hasDivergence(CircuitId c) const {
   FMOSSIM_ASSERT(transientMode_, "hasDivergence is a transient-mode query");
   FMOSSIM_ASSERT(c >= 1 && c <= numMachines_, "hasDivergence: bad circuit id");
@@ -1542,69 +1479,17 @@ bool ConcurrentFaultSimulator::hasDivergence(CircuitId c) const {
 
 FaultSimResult ConcurrentFaultSimulator::runTransient(
     const TestSequence& seq, std::span<const TransientFault> specs) {
-  FMOSSIM_ASSERT(!ran_, "ConcurrentFaultSimulator::run may only be called once");
   FMOSSIM_ASSERT(transientMode_ && replay_ == nullptr,
                  "runTransient is the naive (self-simulating) transient run");
-  ran_ = true;
   loadTransientSpecs(specs, seq.size());
-
-  FaultSimResult res;
-  res.numFaults = numMachines_;
-  res.numPatterns = seq.size();
-  res.droppedDetected = options_.dropDetected;
-
-  Timer total;
-  const std::uint64_t evalsAtStart = nodeEvals();
-  std::uint32_t cumulative = 0;
-
-  for (std::uint32_t pi = 0; pi < seq.size(); ++pi) {
-    for (const InputSetting& setting : seq[pi].settings) {
-      applySetting(setting.span());
-    }
-    cumulative += observe(seq.outputs(), pi);
-
-    // Injections and pulse releases at this pattern boundary, then settle
-    // the perturbation in place.
-    bool perturbed = false;
-    for (std::uint32_t i = 0; i < numMachines_; ++i) {
-      TransientMachine& m = transient_[i];
-      const CircuitId c = i + 1;
-      if (!m.injected && m.atPattern == pi) {
-        m.injected = true;
-        if (alive_[c]) {
-          injectTransientFlip(c);
-          perturbed = true;
-        }
-      } else if (m.pulseActive && alive_[c] &&
-                 pi == m.atPattern + m.pulsePatterns) {
-        releaseTransientPulse(c);
-        perturbed = true;
-      }
-    }
-    if (perturbed) settleInPlace();
-  }
-
-  res.detectedAtPattern = detectedAt_;
-  res.numDetected = cumulative;
-  res.maxAlive = maxAliveObserved_;
-  res.finalGoodStates.reserve(net_.numNodes());
-  for (std::uint32_t n = 0; n < net_.numNodes(); ++n) {
-    res.finalGoodStates.push_back(table_.good(NodeId(n)));
-  }
-  res.finalRecords = table_.totalRecords();
-  res.potentialDetections = potentialDetections_;
-  res.totalSeconds = total.seconds();
-  res.totalCpuSeconds = res.totalSeconds;
-  res.totalNodeEvals = nodeEvals() - evalsAtStart;
-  return res;
+  MaterializedPatternSource source(seq);
+  return patternLoop(&source, nullptr, {});
 }
 
 FaultSimResult ConcurrentFaultSimulator::runTransientTail(
     std::span<const TransientFault> specs) {
-  FMOSSIM_ASSERT(!ran_, "ConcurrentFaultSimulator::run may only be called once");
   FMOSSIM_ASSERT(transientMode_ && replay_ != nullptr,
                  "runTransientTail requires a checkpoint-resumed engine");
-  ran_ = true;
   loadTransientSpecs(specs, replay_->numPatterns());
   for (const TransientFault& f : specs) {
     if (f.atPattern != resumeAfterPattern_) {
@@ -1612,81 +1497,7 @@ FaultSimResult ConcurrentFaultSimulator::runTransientTail(
                   "' is not at the engine's resume instant");
     }
   }
-
-  FaultSimResult res;
-  res.numFaults = numMachines_;
-  res.numPatterns = replay_->numPatterns();
-  res.droppedDetected = options_.dropDetected;
-
-  Timer total;
-  const std::uint64_t evalsAtStart = nodeEvals();
-
-  // Flip every machine at the resumed boundary and settle in place — the
-  // same perturbation the naive run applies after observing this pattern.
-  for (CircuitId c = 1; c <= numMachines_; ++c) {
-    transient_[c - 1].injected = true;
-    injectTransientFlip(c);
-  }
-  settleInPlace();
-
-  std::uint32_t cumulative = 0;
-  std::uint64_t patternIndex = resumeAfterPattern_ + 1;
-  const std::uint32_t numSettles = replay_->numSettles();
-  bool tailExited = false;
-
-  for (std::uint32_t si = replaySettle_; si < numSettles; ++si) {
-    replayBeginSettle();
-    replayEntered_ = true;
-    for (const auto& ch : replayReader_->inputChanges()) {
-      const State old = table_.good(ch.node);
-      table_.setGood(ch.node, ch.value);
-      scheduleSettingSeeds(ch.node, old);
-    }
-    settleAll();
-    if (!replay_->patternEndsAtSettle(si)) continue;
-
-    cumulative += observe(replay_->outputs(),
-                          static_cast<std::uint32_t>(patternIndex));
-
-    // Pulse releases at this boundary (all injections share the resume
-    // instant, so releases are the only mid-tail perturbations).
-    bool perturbed = false;
-    for (std::uint32_t i = 0; i < numMachines_; ++i) {
-      TransientMachine& m = transient_[i];
-      if (m.pulseActive && alive_[i + 1] &&
-          patternIndex == m.atPattern + m.pulsePatterns) {
-        releaseTransientPulse(i + 1);
-        perturbed = true;
-      }
-    }
-    if (perturbed) settleInPlace();
-    ++patternIndex;
-
-    // Every machine detected and dropped: the rest of the tail is pure
-    // good-machine replay with nothing to observe — skip it.
-    if (options_.dropDetected && aliveCount_ == 0) {
-      tailExited = true;
-      break;
-    }
-  }
-
-  res.detectedAtPattern = detectedAt_;
-  res.numDetected = cumulative;
-  res.maxAlive = maxAliveObserved_;
-  if (tailExited) {
-    res.finalGoodStates = replay_->finalGoodStates();
-  } else {
-    res.finalGoodStates.reserve(net_.numNodes());
-    for (std::uint32_t n = 0; n < net_.numNodes(); ++n) {
-      res.finalGoodStates.push_back(table_.good(NodeId(n)));
-    }
-  }
-  res.finalRecords = table_.totalRecords();
-  res.potentialDetections = potentialDetections_;
-  res.totalSeconds = total.seconds();
-  res.totalCpuSeconds = res.totalSeconds;
-  res.totalNodeEvals = nodeEvals() - evalsAtStart;
-  return res;
+  return patternLoop(nullptr, nullptr, {});
 }
 
 }  // namespace fmossim

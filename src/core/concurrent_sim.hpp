@@ -183,11 +183,7 @@ class ConcurrentFaultSimulator {
   /// stimuli + state commits, already coerced) is replayed from the
   /// checkpoint's trace instead, keeping phase alignment and results
   /// bit-identical to a self-simulating engine while spending solver work on
-  /// faulty circuits only. The sequence later passed to run() must be the
-  /// one the checkpoint recorded (asserted via fingerprint). In replay mode
-  /// with dropDetected, the run exits early once every faulty circuit has
-  /// been detected and dropped — the checkpoint supplies the final good
-  /// states for the untouched tail of the sequence.
+  /// faulty circuits only (see "runs" below).
   ConcurrentFaultSimulator(const Network& net, const FaultList& faults,
                            FsimOptions options = {},
                            CheckpointRecorder* record = nullptr,
@@ -217,8 +213,29 @@ class ConcurrentFaultSimulator {
   const Network& network() const { return net_; }
   const FaultList& faults() const { return faults_; }
 
-  /// Runs a complete test sequence with per-pattern instrumentation and
-  /// fault dropping. Can only be called once per simulator instance.
+  // --- runs ----------------------------------------------------------------
+  //
+  // Every run below is a thin wrapper over one private pattern loop
+  // (patternLoop). Per pattern the loop
+  //   1. advances the good circuit one pattern: a self-simulating engine
+  //      pulls the next pattern from a PatternSource and applies each of its
+  //      settings; a replay engine consumes the checkpoint's recorded settles
+  //      up to the next recorded pattern end;
+  //   2. observes the outputs (detections drop circuits) and, when
+  //      recording, closes the pattern in the checkpoint;
+  //   3. in transient mode, perturbs the machines whose injection or pulse
+  //      release falls on this boundary (perturbAt) and settles them;
+  //   4. emits the pattern's row to the sink and onPattern;
+  //   5. in replay mode with dropDetected, exits early once every circuit is
+  //      detected and dropped: the remaining rows are synthesized and the
+  //      checkpoint supplies the final good states.
+  // A simulator instance runs once: exactly one of these may be called, one
+  // time.
+
+  /// Runs a complete test sequence and materializes its rows into
+  /// perPattern. On a replay engine the sequence must be the one the
+  /// checkpoint recorded (asserted via fingerprint) and the run is the same
+  /// trace-driven replay as runReplay.
   FaultSimResult run(const TestSequence& seq);
 
   /// Like run(), invoking `onPattern` after each pattern (for live
@@ -226,43 +243,38 @@ class ConcurrentFaultSimulator {
   FaultSimResult run(const TestSequence& seq,
                      const std::function<void(const PatternStat&)>& onPattern);
 
-  /// Streaming run: pulls patterns from `source` one at a time and never
-  /// materializes per-pattern rows — each row goes to `sink` (and
-  /// `onPattern`) as it completes and the result's perPattern stays empty
-  /// (numPatterns/droppedDetected are set instead; see core/row_sink.hpp).
-  /// Resident memory is flat in the sequence length. Not valid in replay
-  /// mode (use runReplay, which needs no sequence at all). When recording a
-  /// checkpoint, the source is consumed exactly once and its fingerprint is
-  /// captured via PatternSource::fingerprint() before the run.
+  /// Streaming run of a self-simulating engine: pulls patterns from
+  /// `source` one at a time; rows go to `sink` (and `onPattern`) and the
+  /// result's perPattern stays empty (numPatterns/droppedDetected are set
+  /// instead; see core/row_sink.hpp), so resident memory is flat in the
+  /// sequence length. When recording a checkpoint, the source is consumed
+  /// exactly once.
   FaultSimResult run(PatternSource& source, RowSink* sink = nullptr,
                      const std::function<void(const PatternStat&)>& onPattern = {});
 
-  /// Replay-mode streaming run: drives the whole sequence from the
-  /// checkpoint's recorded trace (input changes + pattern boundaries), so
-  /// workers need neither a materialized TestSequence nor the PatternSource.
-  /// Requires replay mode. Rows stream to `sink`/`onPattern`; the result is
-  /// rowless like the streaming run() above. Early exit applies as in
-  /// run(): once every circuit is detected and dropped, the remaining rows
-  /// are synthesized.
+  /// Replay-mode run driven entirely by the checkpoint's trace (input
+  /// changes + pattern boundaries), so workers need neither a TestSequence
+  /// nor the PatternSource. Rows stream to `sink`/`onPattern`; the result is
+  /// rowless like the streaming run().
   FaultSimResult runReplay(RowSink* sink = nullptr,
                            const std::function<void(const PatternStat&)>& onPattern = {});
 
   // --- transient (SEU) runs (transient-mode engines only; see src/seu/) ----
+  //
+  // Both are the same loop with no rows: machine i+1 is flipped per specs[i]
+  // at its injection boundary (specs.size() must equal the machine count).
+  // Classification per machine: detectedAtPattern(i) >= 0 is detected; else
+  // hasDivergence(i+1) is latent; else silent.
 
-  /// Naive full-sequence transient run: simulates the whole sequence from
-  /// scratch, flipping machine i+1 per specs[i] at its injection instant
-  /// (specs.size() must equal the machine count; instants may differ).
-  /// Rowless result. Classification per machine: detectedAtPattern(i) >= 0
-  /// is detected; else hasDivergence(i+1) is latent; else silent.
+  /// Naive run: self-simulates the whole sequence from scratch (instants
+  /// may differ per machine).
   FaultSimResult runTransient(const TestSequence& seq,
                               std::span<const TransientFault> specs);
 
-  /// Checkpoint-tail transient run: every spec must share the engine's
-  /// resume instant (a same-instant injection group). All machines are
-  /// flipped at the resumed pattern boundary, then only the remaining
-  /// patterns are replayed from the trace. Early-exits once every machine
-  /// is detected and dropped. Bit-identical to runTransient of the same
-  /// specs over the recorded sequence.
+  /// Checkpoint-tail run: every spec must share the engine's resume instant.
+  /// The loop perturbs all machines at that boundary, then replays only the
+  /// remaining patterns from the trace. Bit-identical to runTransient of the
+  /// same specs over the recorded sequence.
   FaultSimResult runTransientTail(std::span<const TransientFault> specs);
 
   /// True when circuit c's state currently differs from the good circuit
@@ -272,7 +284,9 @@ class ConcurrentFaultSimulator {
 
   // --- fine-grained control (equivalence tests, examples) -----------------
 
-  /// Applies one batch of input assignments and settles all circuits.
+  /// Applies one batch of input assignments and settles all circuits
+  /// (self-simulating engines only: a replay engine's inputs come from the
+  /// checkpoint trace).
   SettleResult applySetting(std::span<const std::pair<NodeId, State>> assignments);
 
   /// Observes the outputs, records detections against `patternIndex`, and
@@ -348,9 +362,9 @@ class ConcurrentFaultSimulator {
   // overlay at the flipped value, released at its boundary with the held
   // value left behind as charge (a record, unless it agrees with the good
   // circuit). Both schedule the node and its gated transistors' channel
-  // ends, exactly like a node-stuck injection, and the perturbation is
-  // settled in place (settleInPlace: the replay cursor, when present, must
-  // not advance — the good machine is quiet between patterns).
+  // ends, exactly like a node-stuck injection, and perturbAt settles the
+  // perturbation in place (the good machine is quiet between patterns, so
+  // the replay cursor, when present, does not advance).
   struct TransientMachine {
     NodeId node;
     std::uint64_t atPattern = 0;
@@ -364,7 +378,19 @@ class ConcurrentFaultSimulator {
   void injectTransientFlip(CircuitId c);
   void releaseTransientPulse(CircuitId c);
   void scheduleTransientSite(CircuitId c, NodeId n);
-  SettleResult settleInPlace();
+  /// Injections and pulse releases at the boundary after `pattern`, then
+  /// one settle of the perturbed machines.
+  void perturbAt(std::uint64_t pattern);
+
+  // --- the pattern loop (see "runs" above) ---------------------------------
+  /// The one loop every run delegates to. `source` drives a self-simulating
+  /// engine and must be null on a replay engine.
+  FaultSimResult patternLoop(
+      PatternSource* source, RowSink* sink,
+      const std::function<void(const PatternStat&)>& onPattern);
+  /// Step 1 of the loop; false once the sequence is exhausted. `scratch`
+  /// holds the pulled pattern (self-simulating engines).
+  bool advancePattern(PatternSource* source, Pattern& scratch);
 
   // --- lane-batched faulty processing (laneWidth > 1) ----------------------
   //
@@ -397,9 +423,10 @@ class ConcurrentFaultSimulator {
   /// Cached per-phase FNV signature of circuit c's current event list.
   std::uint64_t seedSignature(CircuitId c);
 
-  // Checkpoint replay (see checkpoint.hpp): one settle block per settleAll,
-  // whose recorded phases are consumed one per runPhase — the good prefix of
-  // the settle. replayGoodPhase applies a recorded phase's trigger stimuli
+  // Checkpoint replay (see checkpoint.hpp): the constructor (settle 0) and
+  // advancePattern (every later settle) enter one settle block before each
+  // settleAll, whose recorded phases are consumed one per runPhase — the
+  // good prefix of the settle. replayGoodPhase applies a recorded phase's trigger stimuli
   // and state commits in place of processGoodPhase. All trace access goes
   // through replayReader_, the forward cursor that works for in-memory and
   // spilled (windowed temp-file) checkpoints alike.
@@ -452,10 +479,6 @@ class ConcurrentFaultSimulator {
   std::unique_ptr<CheckpointReader> replayReader_;  // non-null iff replay_
   std::uint32_t replaySettle_ = 0;  // 1-based after replayBeginSettle
   std::uint32_t replayPhase_ = 0;   // next phase within the current settle
-  // Set when runReplay() already entered the settle (to apply the recorded
-  // input changes it needed the reader positioned first); tells the next
-  // settleAll() to skip its own replayBeginSettle.
-  bool replayEntered_ = false;
 
   StateTable table_;
   std::vector<State> cond0_;  // good-circuit conduction states

@@ -83,11 +83,11 @@ struct BatchPlan {
   }
 };
 
-/// The contiguous batch boundaries (the layout ShardedRunner::makeBatches
-/// has always produced): ascending, covering [0, numFaults), batchFaults > 0
-/// fixed-size, 0 the auto schedule (~4 batches per worker, floored at 32
-/// faults, rounded up to a laneWidth multiple so sharing windows never
-/// straddle shard boundaries).
+/// The contiguous batch boundaries (ShardedRunner's classic layout):
+/// ascending, covering [0, numFaults), batchFaults > 0 fixed-size, 0 the
+/// auto schedule (~4 batches per worker, floored at 32 faults, rounded up to
+/// a laneWidth multiple so sharing windows never straddle shard boundaries).
+/// Deterministic: workers race only for batch claims, never for boundaries.
 std::vector<std::pair<std::uint32_t, std::uint32_t>> contiguousBatches(
     std::uint32_t numFaults, unsigned jobs, std::uint32_t batchFaults,
     std::uint32_t laneWidth = 1);
@@ -101,7 +101,7 @@ class FaultSchedule {
   /// Policy name for diagnostics (matches schedulePolicyName).
   virtual const char* name() const = 0;
   /// Builds the batch layout. `jobs` is the effective worker count the run
-  /// will use (after the hardware cap), matching the old makeBatches call.
+  /// will use (after the hardware cap).
   virtual BatchPlan plan(std::uint32_t numFaults, unsigned jobs,
                          std::uint32_t batchFaults,
                          std::uint32_t laneWidth) const = 0;

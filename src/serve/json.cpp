@@ -66,8 +66,17 @@ class Parser {
     if (pos_ >= text_.size()) fail("unexpected end of input");
     const char c = text_[pos_];
     switch (c) {
-      case '{': return parseObject();
-      case '[': return parseArray();
+      case '{':
+      case '[': {
+        // Containers recurse: bound the depth so a hostile line of '['
+        // fails with an error instead of exhausting the stack.
+        if (++depth_ > kJsonMaxDepth) {
+          fail(format("nesting deeper than %zu levels", kJsonMaxDepth));
+        }
+        JsonValue v = c == '{' ? parseObject() : parseArray();
+        --depth_;
+        return v;
+      }
       case '"': return JsonValue::makeString(parseString());
       case 't':
       case 'f': return parseBool();
@@ -210,6 +219,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< open containers around the current value
 };
 
 }  // namespace

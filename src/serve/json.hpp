@@ -14,6 +14,7 @@
 // dump() wrote, and parse() rejects trailing garbage.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -22,6 +23,10 @@
 #include "util/error.hpp"
 
 namespace fmossim::serve {
+
+/// Deepest container nesting parse() accepts. The protocol nests 3 levels;
+/// deeper input is rejected with an Error rather than recursed into.
+inline constexpr std::size_t kJsonMaxDepth = 64;
 
 /// A parsed JSON value (null, bool, number, string, array or object).
 /// Accessors throw Error on type mismatches, which the server turns into
@@ -80,7 +85,7 @@ class JsonValue {
   std::string dump() const;
 
   /// Parses a complete JSON document. Throws Error (with byte offset) on
-  /// malformed input or trailing garbage.
+  /// malformed input, trailing garbage or nesting past kJsonMaxDepth.
   static JsonValue parse(const std::string& text);
 
  private:

@@ -1,5 +1,7 @@
 #include "serve/protocol.hpp"
 
+#include <limits>
+
 #include "faults/fault_spec.hpp"
 #include "gen/random_circuit.hpp"
 #include "gen/transient_gen.hpp"
@@ -54,6 +56,18 @@ std::uint64_t seedFrom(const JsonValue& v, const char* key,
   return f->type() == JsonValue::Type::String ? f->asHexU64() : f->asU64();
 }
 
+// Every 32-bit count on the wire goes through here: a value past 2^32-1 is
+// rejected, naming the field, rather than truncated by a cast.
+std::uint32_t u32From(const JsonValue& v, const char* key,
+                      std::uint32_t fallback) {
+  const std::uint64_t x = v.u64Or(key, fallback);
+  if (x > std::numeric_limits<std::uint32_t>::max()) {
+    throw Error(std::string("field '") + key + "' out of range: " +
+                std::to_string(x) + " exceeds 4294967295");
+  }
+  return static_cast<std::uint32_t>(x);
+}
+
 }  // namespace
 
 JsonValue WorkloadSpec::toJson() const {
@@ -104,9 +118,9 @@ WorkloadSpec WorkloadSpec::fromJson(const JsonValue& v) {
   } else if (kind == "gen" || kind == "seu") {
     spec.circuitSeed = seedFrom(v, "circuitSeed", 1);
     spec.seqSeed = seedFrom(v, "seqSeed", 0);
-    spec.numNodes = static_cast<std::uint32_t>(v.u64Or("nodes", 0));
-    spec.numInputs = static_cast<std::uint32_t>(v.u64Or("inputs", 0));
-    spec.numFaults = static_cast<std::uint32_t>(v.u64Or("faults", 0));
+    spec.numNodes = u32From(v, "nodes", 0);
+    spec.numInputs = u32From(v, "inputs", 0);
+    spec.numFaults = u32From(v, "faults", 0);
     spec.numPatterns = v.u64Or("patterns", 0);
     spec.stream = v.boolOr("stream", false);
     if (spec.stream && spec.seqSeed != 0) {
@@ -117,13 +131,12 @@ WorkloadSpec WorkloadSpec::fromJson(const JsonValue& v) {
       throw Error("workload: more than 2^32 patterns requires stream=true");
     }
     if (kind == "seu") {
-      spec.seuInjections =
-          static_cast<std::uint32_t>(v.u64Or("seuInjections", 0));
+      spec.seuInjections = u32From(v, "seuInjections", 0);
       if (spec.seuInjections == 0) {
         throw Error("workload: seu kind requires seuInjections >= 1");
       }
       spec.seuSeed = seedFrom(v, "seuSeed", 1);
-      spec.seuInstants = static_cast<std::uint32_t>(v.u64Or("seuInstants", 0));
+      spec.seuInstants = u32From(v, "seuInstants", 0);
       if (spec.stream) {
         throw Error("workload: seu is incompatible with stream (campaign "
                     "grading needs a materialized sequence)");
@@ -137,9 +150,9 @@ WorkloadSpec WorkloadSpec::fromJson(const JsonValue& v) {
     throw Error("workload: unknown kind '" + kind +
                 "' (want gen, seu or inline)");
   }
-  spec.jobs = static_cast<unsigned>(v.u64Or("jobs", 2));
+  spec.jobs = u32From(v, "jobs", 2);
   if (spec.jobs == 0) throw Error("workload: jobs must be >= 1");
-  spec.laneWidth = static_cast<std::uint32_t>(v.u64Or("laneWidth", 1));
+  spec.laneWidth = u32From(v, "laneWidth", 1);
   if (spec.laneWidth < 1 || spec.laneWidth > 32 ||
       (spec.laneWidth & (spec.laneWidth - 1)) != 0) {
     throw Error("workload: laneWidth must be a power of two in [1, 32]");
@@ -255,8 +268,8 @@ JsonValue JobResult::toJson() const {
 JobResult JobResult::fromJson(const JsonValue& v) {
   JobResult r;
   if (const JsonValue* c = v.find("checksum")) r.checksum = c->asHexU64();
-  r.numFaults = static_cast<std::uint32_t>(v.u64Or("numFaults", 0));
-  r.numDetected = static_cast<std::uint32_t>(v.u64Or("numDetected", 0));
+  r.numFaults = u32From(v, "numFaults", 0);
+  r.numDetected = u32From(v, "numDetected", 0);
   r.nodeEvals = v.u64Or("nodeEvals", 0);
   r.wallSeconds = v.numberOr("wallSeconds", 0.0);
   r.cpuSeconds = v.numberOr("cpuSeconds", 0.0);

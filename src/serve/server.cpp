@@ -251,11 +251,15 @@ std::string Server::handleLine(const std::string& line) {
   try {
     return handle(JsonValue::parse(line)).dump();
   } catch (const std::exception& e) {
-    JsonValue err = JsonValue::makeObject();
-    err.set("ok", JsonValue::makeBool(false));
-    err.set("error", JsonValue::makeString(e.what()));
-    return err.dump();
+    return errorLine(e.what());
   }
+}
+
+std::string Server::errorLine(const std::string& what) {
+  JsonValue err = JsonValue::makeObject();
+  err.set("ok", JsonValue::makeBool(false));
+  err.set("error", JsonValue::makeString(what));
+  return err.dump();
 }
 
 JsonValue Server::handle(const JsonValue& request) {

@@ -90,6 +90,11 @@ class Server {
   /// job is terminal.
   std::string handleLine(const std::string& line);
 
+  /// The {"ok":false,"error":what} response line handleLine answers a
+  /// failed request with (the transport reuses it for lines it cannot
+  /// frame).
+  static std::string errorLine(const std::string& what);
+
   /// True once a `shutdown` request was accepted; the transport stops
   /// accepting and the CLI tears the daemon down.
   bool shutdownRequested() const {

@@ -17,7 +17,10 @@ namespace {
 void writeAll(int fd, const std::string& data) {
   std::size_t off = 0;
   while (off < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
+    // send() with MSG_NOSIGNAL: a peer that hung up turns into an error
+    // here rather than a SIGPIPE that would kill the whole daemon.
+    const ssize_t n =
+        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       throw Error(std::string("socket write failed: ") + std::strerror(errno));
@@ -26,23 +29,31 @@ void writeAll(int fd, const std::string& data) {
   }
 }
 
-/// Reads until `buffer` contains a '\n'; returns the line without it (the
-/// leftover stays in the buffer). False means orderly EOF before a line.
-bool readLine(int fd, std::string& buffer, std::string& line) {
+enum class LineRead { Line, Closed, TooLong };
+
+/// Reads until `buffer` contains a '\n'; stores the line without it in
+/// `line` (the leftover stays in the buffer). Closed means orderly EOF or a
+/// torn-down connection before a complete line; TooLong means more than
+/// kMaxLineBytes arrived without a newline.
+LineRead readLine(int fd, std::string& buffer, std::string& line) {
+  std::size_t scanned = 0;  // bytes of `buffer` already searched
   for (;;) {
-    const std::size_t pos = buffer.find('\n');
+    const std::size_t pos = buffer.find('\n', scanned);
     if (pos != std::string::npos) {
+      if (pos > kMaxLineBytes) return LineRead::TooLong;
       line.assign(buffer, 0, pos);
       buffer.erase(0, pos + 1);
-      return true;
+      return LineRead::Line;
     }
+    if (buffer.size() > kMaxLineBytes) return LineRead::TooLong;
+    scanned = buffer.size();
     char chunk[4096];
     const ssize_t n = ::read(fd, chunk, sizeof chunk);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return false;  // connection torn down (e.g. stop() closed the fd)
+      return LineRead::Closed;  // torn down (e.g. stop() closed the fd)
     }
-    if (n == 0) return false;
+    if (n == 0) return LineRead::Closed;
     buffer.append(chunk, static_cast<std::size_t>(n));
   }
 }
@@ -122,7 +133,21 @@ void SocketServer::acceptLoop() {
 void SocketServer::serveConnection(int fd) {
   std::string buffer;
   std::string line;
-  while (readLine(fd, buffer, line)) {
+  for (;;) {
+    const LineRead got = readLine(fd, buffer, line);
+    if (got == LineRead::Closed) break;
+    if (got == LineRead::TooLong) {
+      // The stream cannot be re-framed past an unbounded line: answer once
+      // and drop this connection (the daemon and other clients carry on).
+      try {
+        writeAll(fd, Server::errorLine("request line longer than " +
+                                       std::to_string(kMaxLineBytes) +
+                                       " bytes") +
+                         "\n");
+      } catch (const Error&) {
+      }
+      break;
+    }
     if (line.empty()) continue;  // tolerate blank keep-alive lines
     std::string response;
     try {
@@ -207,8 +232,11 @@ SocketClient::~SocketClient() {
 std::string SocketClient::roundTrip(const std::string& line) {
   writeAll(fd_, line + "\n");
   std::string response;
-  if (!readLine(fd_, buffer_, response)) {
-    throw Error("server closed the connection");
+  const LineRead got = readLine(fd_, buffer_, response);
+  if (got == LineRead::Closed) throw Error("server closed the connection");
+  if (got == LineRead::TooLong) {
+    throw Error("server response line longer than " +
+                std::to_string(kMaxLineBytes) + " bytes");
   }
   return response;
 }

@@ -14,6 +14,7 @@
 // small.
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -24,6 +25,13 @@
 #include "serve/server.hpp"
 
 namespace fmossim::serve {
+
+/// Longest NDJSON line either side accepts, newline excluded. Requests need
+/// far less (a generated workload is a few hundred bytes; an inline one
+/// carries netlist, sequence and fault-spec text), so only a broken or
+/// hostile peer reaches it; the daemon answers such a line with an error
+/// reply and closes that connection instead of buffering without bound.
+inline constexpr std::size_t kMaxLineBytes = std::size_t{16} << 20;
 
 /// The daemon's socket front end; see the file comment.
 class SocketServer {

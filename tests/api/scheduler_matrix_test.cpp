@@ -287,7 +287,7 @@ TEST(SchedulerMatrixTest, MakeBatchesCoversUniverse) {
   for (const std::uint32_t n : {0u, 1u, 31u, 32u, 100u, 1398u}) {
     for (const unsigned jobs : {1u, 2u, 4u, 8u}) {
       for (const std::uint32_t batch : {0u, 1u, 16u, 500u}) {
-        const auto batches = ShardedRunner::makeBatches(n, jobs, batch);
+        const auto batches = sched::contiguousBatches(n, jobs, batch);
         std::uint32_t expect = 0;
         for (const auto& [begin, end] : batches) {
           ASSERT_EQ(begin, expect);
@@ -314,19 +314,19 @@ TEST(SchedulerMatrixTest, MakeBatchesCoversUniverse) {
 TEST(SchedulerMatrixTest, MakeBatchesEdgeCases) {
   // batchFaults far beyond the fault list: one batch, the whole universe.
   {
-    const auto batches = ShardedRunner::makeBatches(7, 4, 1000);
+    const auto batches = sched::contiguousBatches(7, 4, 1000);
     ASSERT_EQ(batches.size(), 1u);
     EXPECT_EQ(batches[0].first, 0u);
     EXPECT_EQ(batches[0].second, 7u);
   }
   // Empty universe: no batches at all (not one empty batch).
   for (const std::uint32_t batch : {0u, 1u, 64u}) {
-    EXPECT_TRUE(ShardedRunner::makeBatches(0, 4, batch).empty());
+    EXPECT_TRUE(sched::contiguousBatches(0, 4, batch).empty());
   }
   // jobs >> faults: every batch non-empty, coverage exact.
   for (const std::uint32_t n : {1u, 3u, 31u}) {
     for (const unsigned jobs : {8u, 64u, 1000u}) {
-      const auto batches = ShardedRunner::makeBatches(n, jobs, 0);
+      const auto batches = sched::contiguousBatches(n, jobs, 0);
       std::uint32_t covered = 0;
       for (const auto& [begin, end] : batches) {
         ASSERT_LT(begin, end);

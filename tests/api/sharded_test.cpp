@@ -12,6 +12,7 @@
 #include "faults/sampling.hpp"
 #include "faults/universe.hpp"
 #include "patterns/marching.hpp"
+#include "patterns/pattern_source.hpp"
 #include "util/rng.hpp"
 
 namespace fmossim {
@@ -133,6 +134,31 @@ TEST(ShardedRunnerTest, ShardedRunIsRepeatable) {
   const FaultSimResult second = engine.run(seq);
   EXPECT_EQ(first.detectedAtPattern, second.detectedAtPattern);
   EXPECT_EQ(first.totalNodeEvals, second.totalNodeEvals);
+}
+
+// A streamed recording omits the per-pattern good evaluations, so a
+// materialized run on the same runner and sequence must not reuse it: its
+// rows' work counters must equal a fresh runner's.
+TEST(ShardedRunnerTest, MaterializedRunAfterStreamedRunKeepsRowWork) {
+  const RamCircuit ram = buildRam(RamConfig{4, 4});
+  const FaultList faults = allStorageNodeStuckFaults(ram.net);
+  const TestSequence seq = ramArrayMarch(ram);
+  FsimOptions opts;
+  opts.policy = DetectionPolicy::AnyDifference;
+
+  ShardedRunner fresh(ram.net, faults, opts, 2);
+  const FaultSimResult ref = fresh.run(seq);
+
+  ShardedRunner runner(ram.net, faults, opts, 2);
+  MaterializedPatternSource source(seq);
+  runner.runStream(source);
+  const FaultSimResult got = runner.run(seq);
+  EXPECT_EQ(got.totalNodeEvals, ref.totalNodeEvals);
+  ASSERT_EQ(got.perPattern.size(), ref.perPattern.size());
+  for (std::size_t pi = 0; pi < ref.perPattern.size(); ++pi) {
+    EXPECT_EQ(got.perPattern[pi].nodeEvals, ref.perPattern[pi].nodeEvals)
+        << "pattern " << pi;
+  }
 }
 
 }  // namespace

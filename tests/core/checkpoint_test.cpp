@@ -93,14 +93,33 @@ TEST(CheckpointTest, ReplayMatchesSelfSimulationBitExactly) {
   EXPECT_EQ(got.potentialDetections, ref.potentialDetections);
   EXPECT_EQ(got.finalGoodStates, ref.finalGoodStates);
   ASSERT_EQ(got.perPattern.size(), ref.perPattern.size());
+  ASSERT_EQ(ck.perPatternGoodEvals().size(), ref.perPattern.size());
   for (std::size_t pi = 0; pi < ref.perPattern.size(); ++pi) {
     EXPECT_EQ(got.perPattern[pi].newlyDetected,
               ref.perPattern[pi].newlyDetected)
         << "pattern " << pi;
     EXPECT_EQ(got.perPattern[pi].aliveAfter, ref.perPattern[pi].aliveAfter);
+    // Per-row work attribution (the Fig. 1/2 series): the pattern's good
+    // evals (checkpoint) + its faulty evals (replay) == self-simulated row.
+    EXPECT_EQ(ck.perPatternGoodEvals()[pi] + got.perPattern[pi].nodeEvals,
+              ref.perPattern[pi].nodeEvals)
+        << "pattern " << pi;
   }
   // good evals (checkpoint) + faulty evals (replay) == self-simulated total.
   EXPECT_EQ(ck.totalGoodEvals() + got.totalNodeEvals, ref.totalNodeEvals);
+}
+
+// run(seq) on a replay engine must be handed the recorded sequence: any
+// other sequence trips the fingerprint assert instead of replaying a trace
+// that does not belong to it.
+TEST(CheckpointTest, ReplayRunRejectsADifferentSequence) {
+  const RamWorkload w = smallRamWorkload();
+  const GoodMachineCheckpoint ck =
+      GoodMachineCheckpoint::record(w.ram.net, w.seq, {});
+  TestSequence other = w.seq;
+  other.addPattern(w.seq[0]);
+  ConcurrentFaultSimulator replaying(w.ram.net, w.faults, {}, nullptr, &ck);
+  EXPECT_DEATH(replaying.run(other), "different test sequence");
 }
 
 // Same equivalence under DefiniteOnly + no-drop (the early-exit path must

@@ -48,6 +48,16 @@ TEST(JsonValueTest, RejectsMalformedDocuments) {
   EXPECT_THROW(JsonValue::parse("{\"x\": 1e19}").get("x").asU64(), Error);
 }
 
+TEST(JsonValueTest, RejectsNestingPastTheDepthLimit) {
+  // At the limit parses; one level deeper throws instead of recursing.
+  const std::string ok(kJsonMaxDepth, '[');
+  EXPECT_NO_THROW(JsonValue::parse(ok + std::string(kJsonMaxDepth, ']')));
+  const std::string deep(kJsonMaxDepth + 1, '[');
+  EXPECT_THROW(JsonValue::parse(deep + std::string(kJsonMaxDepth + 1, ']')),
+               Error);
+  EXPECT_THROW(JsonValue::parse(std::string(kJsonMaxDepth + 1, '{')), Error);
+}
+
 TEST(WorkloadSpecTest, GenSpecRoundTripsThroughJson) {
   WorkloadSpec spec;
   spec.circuitSeed = 0xfeedfacecafebeefULL;  // full 64-bit seed must survive
@@ -103,6 +113,29 @@ TEST(WorkloadSpecTest, RejectsMalformedSpecs) {
                Error);
   EXPECT_THROW(WorkloadSpec::fromJson(JsonValue::parse("{\"jobs\": 0}")),
                Error);
+  // 32-bit fields past 2^32-1 are rejected with the field named, never
+  // truncated (4294967308 would otherwise become 12).
+  for (const char* field : {"nodes", "inputs", "faults", "jobs", "laneWidth"}) {
+    const std::string doc = std::string("{\"") + field + "\": 4294967297}";
+    try {
+      WorkloadSpec::fromJson(JsonValue::parse(doc));
+      ADD_FAILURE() << "accepted " << doc;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  }
+  for (const char* doc :
+       {"{\"kind\": \"seu\", \"seuInjections\": 4294967304}",
+        "{\"kind\": \"seu\", \"seuInjections\": 4, "
+        "\"seuInstants\": 4294967304}"}) {
+    EXPECT_THROW(WorkloadSpec::fromJson(JsonValue::parse(doc)), Error) << doc;
+  }
+  // The largest u32 itself is a legal count.
+  EXPECT_EQ(
+      WorkloadSpec::fromJson(JsonValue::parse("{\"nodes\": 4294967295}"))
+          .numNodes,
+      4294967295u);
   WorkloadSpec inlineSpec;
   inlineSpec.netlist = "this is not a netlist";
   inlineSpec.sequence = "nor a sequence";
@@ -224,6 +257,15 @@ TEST(JobResultTest, RoundTripsThroughJson) {
   EXPECT_TRUE(back.engineReused);
   EXPECT_EQ(back.backend, "sharded");
   EXPECT_TRUE(back.error.empty());
+}
+
+TEST(JobResultTest, RejectsCountsPastU32) {
+  EXPECT_THROW(JobResult::fromJson(
+                   JsonValue::parse("{\"numFaults\": 4294967304}")),
+               Error);
+  EXPECT_THROW(JobResult::fromJson(
+                   JsonValue::parse("{\"numDetected\": 4294967298}")),
+               Error);
 }
 
 }  // namespace

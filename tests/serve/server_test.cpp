@@ -1,12 +1,16 @@
 // Daemon end-to-end: verb dispatch through handleLine(), the full
 // socket transport round trip, queue backpressure, cancellation and
-// shutdown semantics.
+// shutdown semantics, and hostile lines (deep nesting, no newline) that
+// must become error replies rather than kill the daemon.
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -252,6 +256,65 @@ TEST(ServerTest, ShutdownVerbStopsAcceptingWork) {
       JsonValue::parse(server.handleLine(submitRequest(1).dump()));
   EXPECT_FALSE(refused.boolOr("ok", true));
   server.stop();
+}
+
+TEST(ServerTest, DeeplyNestedLineBecomesErrorResponse) {
+  // A 2 MB line of '[' used to recurse the parser off the stack.
+  Server server{ServerOptions{}};
+  server.start();
+  const JsonValue resp =
+      JsonValue::parse(server.handleLine(std::string(2u << 20, '[')));
+  EXPECT_FALSE(resp.boolOr("ok", true));
+  EXPECT_NE(resp.stringOr("error", "").find("nesting"), std::string::npos);
+  server.stop();
+}
+
+TEST(SocketTransportTest, OverlongLineIsRefusedAndDaemonKeepsServing) {
+  const std::string path =
+      "/tmp/fmossim-servertest-long-" + std::to_string(getpid()) + ".sock";
+  Server server{ServerOptions{}};
+  server.start();
+  SocketServer socket(server, path);
+
+  // A raw client streams one byte more than the limit and no newline.
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof addr),
+            0);
+  const std::string flood(kMaxLineBytes + 1, 'x');
+  for (std::size_t off = 0; off < flood.size();) {
+    const ssize_t n = ::write(fd, flood.data() + off, flood.size() - off);
+    ASSERT_GT(n, 0);
+    off += static_cast<std::size_t>(n);
+  }
+  // One error line back, then the daemon closes this connection.
+  std::string reply;
+  char chunk[4096];
+  for (;;) {
+    const ssize_t n = ::read(fd, chunk, sizeof chunk);
+    ASSERT_GE(n, 0);
+    if (n == 0) break;
+    reply.append(chunk, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  ASSERT_FALSE(reply.empty());
+  ASSERT_EQ(reply.back(), '\n');
+  const JsonValue err = JsonValue::parse(reply.substr(0, reply.size() - 1));
+  EXPECT_FALSE(err.boolOr("ok", true));
+  EXPECT_NE(err.stringOr("error", "").find("longer than"), std::string::npos);
+
+  // A fresh client is still served.
+  SocketClient client(path);
+  JsonValue statsReq = JsonValue::makeObject();
+  statsReq.set("verb", JsonValue::makeString("stats"));
+  EXPECT_TRUE(client.request(statsReq).boolOr("ok", false));
+
+  server.stop();
+  socket.stop();
 }
 
 TEST(SocketTransportTest, FullRoundTripOverUnixSocket) {
