@@ -234,21 +234,6 @@ Flag choiceFlag(const char* name, D& dest, Parse parse, const char* names,
           }};
 }
 
-/// Lane width: a power of two in [1, 32]. Lane words pack 2-bit states, so
-/// only power-of-two widths align fault windows.
-template <class D>
-Flag laneWidthFlag(const char* name, D& dest, const char* help) {
-  return {name, "N", help, [&dest](const char* text) {
-            const ParsedNumber n = parseDecimal(text, 32);
-            if (n.status != NumberStatus::Ok || n.value == 0 ||
-                (n.value & (n.value - 1)) != 0) {
-              return std::string("a power of two in [1, 32]");
-            }
-            store(dest, n.value);
-            return std::string();
-          }};
-}
-
 std::optional<Backend> parseBackend(const std::string& text) {
   if (text == "concurrent") return Backend::Concurrent;
   if (text == "serial") return Backend::Serial;
@@ -442,8 +427,6 @@ int runGrading(const Cli& cli) {
                     "parallel workers (concurrent backend only; default 1)"),
           countFlag("--batch-faults", opts.batchFaults, kMaxU32,
                     "sharded fault-batch size (default: auto)"),
-          laneWidthFlag("--lane-width", opts.laneWidth,
-                        "word-lane fault batching width (default 1)"),
           byteSizeFlag("--checkpoint-budget", opts.checkpointBudgetBytes,
                        "good-machine trace budget (default 0 = unbounded)"),
           choiceFlag("--schedule", opts.schedule, sched::parseSchedulePolicy,
@@ -464,7 +447,7 @@ int runGrading(const Cli& cli) {
       "because a tester cannot\ntell an X from a driven value; --policy any is "
       "the paper's literal \"any\ndifference\". --schedule history co-batches "
       "hard-to-detect faults from the\n--history-file record, refreshed after "
-      "every sharded run. Lane widths and\nschedules never change results.\n"
+      "every sharded run. Schedules never\nchange results.\n"
       "\n"
       "subcommands (each lists its flags with --help):\n"
       "  fuzz    seeded random workloads cross-checked serial vs concurrent "
@@ -595,7 +578,6 @@ int runFuzz(const Cli& cli) {
   std::uint64_t firstSeed = 1;
   std::uint32_t numSeeds = 25;
   std::optional<std::uint32_t> nodes, inputs, faults, patterns, chaos;
-  std::optional<std::uint32_t> laneWidth;
   std::optional<DetectionPolicy> policy;
   bool noDrop = false, quiet = false;
 
@@ -616,8 +598,6 @@ int runFuzz(const Cli& cli) {
                      "pin the detection policy (default: swept per seed)"),
           switchFlag("--no-drop", noDrop,
                      "never drop detected faults (default: swept per seed)"),
-          laneWidthFlag("--lane-width", laneWidth,
-                        "pin lane comparands to {1, N} (default {1, 4, 32})"),
           countFlag("--chaos", chaos, kMaxU32,
                     "drop every Nth concurrent trigger (oracle self-test)"),
           switchFlag("--quiet", quiet, "print only divergences and the summary"),
@@ -647,7 +627,6 @@ int runFuzz(const Cli& cli) {
                                         ? DetectionPolicy::DefiniteOnly
                                         : DetectionPolicy::AnyDifference);
     oracle.dropDetected = noDrop ? false : vary.chance(0.75);
-    if (laneWidth) oracle.laneVariants = {1, *laneWidth};
     if (chaos) oracle.debugLoseTriggerEvery = *chaos;
 
     const GeneratedWorkload w = generateWorkload(gen);
@@ -668,7 +647,6 @@ int runFuzz(const Cli& cli) {
       if (patterns) repro += format(" --patterns %u", *patterns);
       repro += format(" --policy %s", detectionPolicyName(oracle.policy));
       if (!oracle.dropDetected) repro += " --no-drop";
-      if (laneWidth) repro += format(" --lane-width %u", *laneWidth);
       if (chaos) repro += format(" --chaos %u", *chaos);
       std::printf("%s\n%s  reproduce: %s\n", describeWorkload(w).c_str(),
                   rep.summary().c_str(), repro.c_str());
@@ -970,8 +948,6 @@ int runSeu(const Cli& cli) {
                   "cluster --gen onto <= K instants (default 0 = off)"),
           countFlag("--jobs", opts.jobs, kMaxThreads,
                     "worker threads over injection groups (default 1)"),
-          laneWidthFlag("--lane-width", opts.laneWidth,
-                        "word-lane batching within a group (default 1)"),
           choiceFlag("--policy", opts.policy, parseDetectionPolicy,
                      "any|definite", "detection criterion (default definite)"),
           switchFlag("--naive", naive,
@@ -986,8 +962,7 @@ int runSeu(const Cli& cli) {
       "still differs at end of sequence) or silent (reconverged). The good\n"
       "machine is recorded once; injections grouped by instant replay only\n"
       "the tail after their strike, and clustering (--instants) shares those\n"
-      "tails. Deterministic for fixed inputs across --jobs and "
-      "--lane-width.\n"};
+      "tails. Deterministic for fixed inputs across --jobs.\n"};
   if (const auto exit = parseFlags(cli, table)) return *exit;
   if (const char* why = in.missing()) return usageError(cli, why);
   if (injectFile.has_value() == genCount.has_value()) {

@@ -24,6 +24,7 @@ Engine::Engine(Network net, FaultList faults, EngineOptions options)
       backend_(makeBackend()) {}
 
 std::unique_ptr<FaultSimulator> Engine::makeBackend() const {
+  requireUnitLaneWidth("EngineOptions::laneWidth", options_.laneWidth);
   switch (options_.backend) {
     case Backend::Serial: {
       SerialOptions sopts;
@@ -37,7 +38,6 @@ std::unique_ptr<FaultSimulator> Engine::makeBackend() const {
       fopts.sim = options_.sim;
       fopts.policy = options_.policy;
       fopts.dropDetected = options_.dropDetected;
-      fopts.laneWidth = options_.laneWidth;
       fopts.checkpointReadAhead = options_.checkpointReadAhead;
       fopts.debugLoseTriggerEvery = options_.debugLoseTriggerEvery;
       if (options_.jobs > 1 && faults_.size() > 1) {

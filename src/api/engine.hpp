@@ -63,15 +63,8 @@ struct EngineOptions {
   /// produces identical results; the knob trades scheduling granularity
   /// against per-batch replay overhead.
   std::uint32_t batchFaults = 0;
-  /// Fault-lane sharing window for the concurrent backends (forwarded to
-  /// FsimOptions::laneWidth). Faulty machines whose states pack into the
-  /// same 64-bit lane word (2 bits per machine) and that provably observe
-  /// identical vicinities are settled by one solver pass and committed with
-  /// word-wide lane operations. Power of two in [1, 32]; 1 (the default)
-  /// keeps the scalar path. Results are bit-identical for every width —
-  /// including nodeEvals, which credits the work a standalone run of each
-  /// shared machine would have spent. Composes with jobs > 1: each sharded
-  /// worker lane-batches the faults inside its claimed batches.
+  /// Retired word-lane fault-sharing width; must be 1 (construction throws
+  /// Error otherwise). Kept for source compatibility only.
   std::uint32_t laneWidth = 1;
   /// Shared good-machine checkpoint cache (jobs > 1 only). Engines handed
   /// the same store record the fault-free run once per (network, sequence)
@@ -92,8 +85,7 @@ struct EngineOptions {
   /// `--schedule`). Contiguous (the default) slices the global fault order;
   /// History lays batches out by a prior run's detection record — expensive
   /// (late- or never-detected) faults are co-batched so the cheap batches
-  /// exit their replay early, and lane windows with matching history are
-  /// hinted to the share matcher. Every policy is bit-identical in results
+  /// exit their replay early. Every policy is bit-identical in results
   /// (detections, nodeEvals, rows); only wall clock changes. The History
   /// policy falls back to the contiguous layout until a history exists in
   /// `historyStore` or `historyFile`.

@@ -30,6 +30,7 @@ ShardedRunner::ShardedRunner(const Network& net, FaultList faults,
       history_(std::move(history)),
       historyFile_(std::move(historyFile)),
       faultsFp_(faultListFingerprint(faults_)) {
+  requireUnitLaneWidth("FsimOptions::laneWidth", options_.laneWidth);
   jobs_ = std::max(1u, std::min(jobs, std::max(1u, faults_.size())));
   if (ownsStore_) {
     CheckpointStore::Options sopts;
@@ -166,7 +167,7 @@ sched::BatchPlan ShardedRunner::buildPlan(unsigned effectiveJobs) const {
     }
   }
   return sched::makeSchedule(schedule_, std::move(hist))
-      ->plan(faults_.size(), effectiveJobs, batchFaults_, options_.laneWidth);
+      ->plan(faults_.size(), effectiveJobs, batchFaults_);
 }
 
 void ShardedRunner::publishHistory(const FaultSimResult& merged) const {
@@ -211,13 +212,9 @@ FaultSimResult ShardedRunner::runBatches(const Timer& total,
         gathered.push_back(faults_.all()[plan.globalIndex(pos)]);
       }
       FaultList batch(std::move(gathered));
-      FsimOptions batchOptions = options_;
-      if (b < plan.hintWindows.size()) {
-        batchOptions.shareHintWindows = plan.hintWindows[b];
-      }
       // Workers replay entirely from the trace: neither the sequence nor the
       // source is touched again after the recording.
-      ConcurrentFaultSimulator sim(net_, batch, batchOptions, nullptr,
+      ConcurrentFaultSimulator sim(net_, batch, options_, nullptr,
                                    checkpoint_.get());
       std::vector<PatternStat> batchRows;
       if (rows) batchRows.reserve(checkpoint_->numPatterns());

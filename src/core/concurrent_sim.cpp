@@ -119,29 +119,8 @@ ConcurrentFaultSimulator::ConcurrentFaultSimulator(
       phaseCircuitStamp_(numMachines + 1, 0),
       vicBuilder_(net),
       solver_(net.domain()),
-      triggerStamp_(numMachines + 1, 0),
-      laneDoneStamp_(numMachines + 1, 0),
-      readNodeStamp_(net.numNodes(), 0),
-      readNodeValue_(net.numNodes(), State::SX),
-      readTransStamp_(net.numTransistors(), 0),
-      seedSig_(numMachines + 1, 0),
-      seedSigStamp_(numMachines + 1, 0),
-      windowSkipUntil_(options.laneWidth > 1
-                           ? numMachines / options.laneWidth + 1
-                           : 0,
-                       0),
-      windowFailStreak_(windowSkipUntil_.size(), 0),
-      windowHinted_(windowSkipUntil_.size(), 0) {
-  if (options_.laneWidth < 1 || options_.laneWidth > lanes::kLaneCount ||
-      !std::has_single_bit(options_.laneWidth)) {
-    throw Error("laneWidth must be a power of two between 1 and 32 (got " +
-                std::to_string(options_.laneWidth) + ")");
-  }
-  // Scheduler share hints: mark the hinted lane windows as backoff-exempt.
-  // Out-of-range hints (a schedule built for a larger batch) are ignored.
-  for (const std::uint32_t w : options_.shareHintWindows) {
-    if (w < windowHinted_.size()) windowHinted_[w] = 1;
-  }
+      triggerStamp_(numMachines + 1, 0) {
+  requireUnitLaneWidth("FsimOptions::laneWidth", options_.laneWidth);
   FMOSSIM_ASSERT(record_ == nullptr || replay_ == nullptr,
                  "an engine cannot record and replay a checkpoint at once");
   FMOSSIM_ASSERT(record_ == nullptr || faults_.empty(),
@@ -359,18 +338,9 @@ void ConcurrentFaultSimulator::runPhase(bool coerce) {
   }
 
   // The paper simulates "the activities for each faulty circuit in turn";
-  // circuits are independent within a phase, so queue order is fine — which
-  // is also what makes the lane-batched path sound: a group leader may pull
-  // its lane mates' work forward without changing any result.
-  for (std::size_t i = 0; i < curCircuits_.size(); ++i) {
-    const CircuitId c = curCircuits_[i];
-    if (alive_[c] && laneDoneStamp_[c] != phaseEpoch_) {
-      if (options_.laneWidth > 1) {
-        processFaultyGroup(c, coerce);
-      } else {
-        processFaultyCircuit(c, coerce);
-      }
-    }
+  // circuits are independent within a phase, so queue order is fine.
+  for (const CircuitId c : curCircuits_) {
+    if (alive_[c]) processFaultyCircuit(c, coerce);
     curFaultySeeds_[c].clear();
   }
   curCircuits_.clear();
@@ -559,338 +529,6 @@ void ConcurrentFaultSimulator::processFaultyCircuit(CircuitId c, bool coerce) {
       }
     }
   }
-}
-
-// --- lane-batched faulty processing (see header) ---------------------------
-
-/// Read-matching CircuitView over the lane-group leader's circuit: the first
-/// visit to every node and transistor the vicinity builder observes filters
-/// liveCandMask_ down to the mates that would observe exactly the same
-/// values (identical reads imply identical growth, solving and scheduling).
-/// A read answered by the leader's own fault overlays zeroes the mask — no
-/// mate can share a result that depends on the leader's private fault.
-struct LaneLeaderView {
-  ConcurrentFaultSimulator* s;
-  CircuitId c;
-  State nodeState(NodeId n) const { return s->logNodeRead(n); }
-  State conduction(TransId t) const { return s->logTransRead(t); }
-  bool isInputNode(NodeId n) const {
-    if (s->net_.isInput(n)) return true;
-    if (s->isStuckNode(n, c)) {
-      s->liveCandMask_ = 0;  // boundary shaped by the leader's own fault
-      return true;
-    }
-    return false;
-  }
-};
-
-State ConcurrentFaultSimulator::logNodeRead(NodeId n) {
-  // Mask-death fast path: once no candidate survives, the stamps and value
-  // cache only add overhead — every remaining read is answered by the plain
-  // overlay-aware lookup, which is exactly what the scalar path pays. The
-  // state is not mutated during an evaluation, so repeated lookups agree
-  // with what the cache would have returned.
-  if (liveCandMask_ == 0) return stateIn(n, leaderCircuit_);
-  if (readNodeStamp_[n.value] == readGen_) return readNodeValue_[n.value];
-  readNodeStamp_[n.value] = readGen_;
-  const State v = stateIn(n, leaderCircuit_);
-  readNodeValue_[n.value] = v;
-  // Match candidates against this read: lanes stuck here (vicinity boundary
-  // differs — a stuck overlay implies divCount_ > 0, so the cheap guard
-  // covers the leader's own stuckness too) drop out, then matchLanes keeps
-  // lanes whose state equals the leader's observed value, recordless lanes
-  // reading the pre-phase good lens.
-  if (divCount_[n.value] != 0) {
-    if (isStuckNode(n, leaderCircuit_)) {
-      liveCandMask_ = 0;  // boundary shaped by the leader's own fault
-      return v;
-    }
-    liveCandMask_ &= ~stuckLaneMask(n, laneGroup_);
-    if (liveCandMask_ != 0) {
-      const State bg = goodOldStamp_[n.value] == phaseEpoch_
-                           ? goodOldValue_[n.value]
-                           : table_.good(n);
-      liveCandMask_ = table_.matchLanes(n, laneGroup_, liveCandMask_, v, bg);
-    }
-  }
-  return v;
-}
-
-State ConcurrentFaultSimulator::logTransRead(TransId t) {
-  // Mask-death fast path: with no candidates left there is nothing to match,
-  // and the overlay-aware lookup answers every case the first-visit path
-  // handles (override, fault device, gate-derived conduction) identically.
-  if (liveCandMask_ == 0) return conductionIn(t, leaderCircuit_);
-  if (readTransStamp_[t.value] != readGen_) {
-    readTransStamp_[t.value] = readGen_;
-    if (findOverride(transOverride_[t.value], leaderCircuit_) != nullptr) {
-      liveCandMask_ = 0;  // conduction shaped by the leader's own fault
-      return conductionIn(t, leaderCircuit_);
-    }
-    liveCandMask_ &= ~overrideLaneMask(t, laneGroup_);
-    const auto& tr = net_.transistor(t);
-    if (tr.isFaultDevice()) return *tr.goodConduction;  // circuit-independent
-    // Route the gate read through logNodeRead so mates are matched on the
-    // gate value the conduction was derived from.
-    return conductionState(tr.type, logNodeRead(tr.gate));
-  }
-  // Repeat visit: the gate node was matched on the first visit (its read
-  // stamp is set), so the plain overlay-aware lookup is equivalent.
-  return conductionIn(t, leaderCircuit_);
-}
-
-std::uint64_t ConcurrentFaultSimulator::seedSignature(CircuitId c) {
-  if (seedSigStamp_[c] != phaseEpoch_) {
-    seedSigStamp_[c] = phaseEpoch_;
-    std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a
-    for (const NodeId n : curFaultySeeds_[c]) {
-      h ^= n.value;
-      h *= 0x100000001b3ull;
-    }
-    seedSig_[c] = h;
-  }
-  return seedSig_[c];
-}
-
-std::uint32_t ConcurrentFaultSimulator::stuckLaneMask(
-    NodeId n, std::uint32_t group) const {
-  std::uint32_t m = 0;
-  for (const Override& o : nodeStuck_[n.value]) {
-    if (lanes::groupOf(o.circuit) == group) m |= 1u << lanes::laneOf(o.circuit);
-  }
-  return m;
-}
-
-std::uint32_t ConcurrentFaultSimulator::overrideLaneMask(
-    TransId t, std::uint32_t group) const {
-  std::uint32_t m = 0;
-  for (const Override& o : transOverride_[t.value]) {
-    if (lanes::groupOf(o.circuit) == group) m |= 1u << lanes::laneOf(o.circuit);
-  }
-  return m;
-}
-
-void ConcurrentFaultSimulator::processFaultyGroup(CircuitId c, bool coerce) {
-  // The first active circuit of an aligned lane window handles the whole
-  // window for this phase: one scan collects every alive circuit scheduled
-  // this phase, partitions them into share-groups with identical event
-  // lists (signature fast path, deep compare as collision guard), and
-  // done-stamps all of them. runPhase therefore dispatches each window
-  // exactly once per phase, so the scan costs O(width) per window instead
-  // of O(width) per circuit.
-  const std::uint32_t w = options_.laneWidth;
-  const std::uint32_t widx = (c - 1) / w;
-  if (windowHinted_[widx] == 0 && phaseEpoch_ < windowSkipUntil_[widx]) {
-    // Share backoff active: this window's recent attempts all failed, so
-    // skip the scan and matching entirely — each member dispatches here
-    // individually and takes the scalar path unchanged. Scheduler-hinted
-    // windows are exempt: their members were co-batched on matching
-    // detection history, so persistent matching is expected to pay off.
-    processFaultyCircuit(c, coerce);
-    return;
-  }
-  const CircuitId windowBase = widx * w + 1;
-  const CircuitId windowEnd =
-      std::min<CircuitId>(windowBase + w, numMachines_ + 1);
-  const std::uint32_t group = lanes::groupOf(c);
-
-  laneGroups_.clear();
-  for (CircuitId m = windowBase; m < windowEnd; ++m) {
-    if (!alive_[m] || phaseCircuitStamp_[m] != phaseEpoch_ ||
-        laneDoneStamp_[m] == phaseEpoch_) {
-      continue;
-    }
-    laneDoneStamp_[m] = phaseEpoch_;
-    const std::uint64_t sig = seedSignature(m);
-    bool placed = false;
-    for (LaneGroup& g : laneGroups_) {
-      // seedSig_[g.leader] is fresh: seedSignature ran when g was formed.
-      if (seedSig_[g.leader] == sig &&
-          curFaultySeeds_[g.leader] == curFaultySeeds_[m]) {
-        g.mateMask |= 1u << lanes::laneOf(m);
-        placed = true;
-        break;
-      }
-    }
-    if (!placed) laneGroups_.push_back({m, 0});
-  }
-
-  // Process each share-group: the leader evaluates once for all candidates;
-  // candidates that fail the read match elect the lowest failure as the next
-  // round's leader over the remaining failures (their event lists are still
-  // identical), until everyone is settled. A member left alone takes the
-  // scalar path unchanged.
-  bool attempted = false;
-  bool anyShared = false;
-  for (const LaneGroup& g : laneGroups_) {
-    CircuitId lead = g.leader;
-    std::uint32_t pending = g.mateMask;
-    if (pending != 0) attempted = true;
-    while (true) {
-      if (pending == 0) {
-        processFaultyCircuit(lead, coerce);
-        break;
-      }
-      const std::uint32_t survived = processLaneLeader(lead, pending, coerce);
-      if (survived != 0) anyShared = true;
-      pending &= ~survived;
-      if (pending == 0) break;
-      const std::uint32_t lane =
-          static_cast<std::uint32_t>(std::countr_zero(pending));
-      pending &= pending - 1;
-      lead = lanes::circuitAt(group, lane);
-    }
-  }
-
-  // Feed the backoff: only genuine attempts carry information (a window of
-  // singletons neither pays match costs nor proves anything). Success only
-  // decrements the streak — a window that shares once in a while but mostly
-  // fails stays mostly skipped, because a rare share saves less than the
-  // steady match costs it would re-enable. Hinted windows bypass the check
-  // above, so feeding their counters would be dead state; skip them.
-  if (attempted && windowHinted_[widx] == 0) {
-    if (anyShared) {
-      if (windowFailStreak_[widx] > 0) --windowFailStreak_[widx];
-      windowSkipUntil_[widx] = 0;
-    } else {
-      const std::uint32_t s =
-          std::min<std::uint32_t>(windowFailStreak_[widx] + 1, kMaxShareBackoff);
-      windowFailStreak_[widx] = static_cast<std::uint8_t>(s);
-      windowSkipUntil_[widx] = phaseEpoch_ + (1u << s);
-    }
-  }
-}
-
-std::uint32_t ConcurrentFaultSimulator::processLaneLeader(
-    CircuitId c, std::uint32_t candMask, bool coerce) {
-  const std::uint32_t group = lanes::groupOf(c);
-  // Evaluate the leader under the read-matching view. Buffering is identical
-  // to processFaultyCircuit; only the view differs. The view filters
-  // liveCandMask_ on each first-visit read, so by the end of the evaluation
-  // the mask holds exactly the mates that observably match the leader's
-  // complete read set — and a doomed attempt stops paying match costs the
-  // moment the mask hits zero.
-  ++readGen_;
-  leaderCircuit_ = c;
-  laneGroup_ = group;
-  liveCandMask_ = candMask;
-  const std::uint64_t solverEvals0 = solver_.nodeEvals();
-  const std::uint64_t memoEvals0 = memoReplayedEvals_;
-  const LaneLeaderView view{this, c};
-  vicBuilder_.newGeneration();
-  faultyResults_.clear();
-  faultyChanges_.clear();
-  for (const NodeId seed : curFaultySeeds_[c]) {
-    if (!vicBuilder_.grow(view, seed, vic_)) continue;
-    solveMemoized(vic_, newStates_);
-    for (std::size_t i = 0; i < vic_.size(); ++i) {
-      const NodeId n = vic_.members[i];
-      const State pre = vic_.memberCharge[i];
-      State next = newStates_[i];
-      if (coerce && next != pre) next = State::SX;
-      faultyResults_.emplace_back(n, next);
-      if (next != pre) faultyChanges_.push_back({n, pre, next});
-    }
-  }
-
-  // The surviving mates observably match the leader's complete read set: a
-  // sharing mate reads every visited node to the same value (records checked
-  // as word lanes against the circuit-independent pre-phase background), is
-  // not stuck at any read node (stuckness moves the vicinity boundary), and
-  // does not override any read transistor. Matching ran against pre-commit
-  // state — the same state the leader evaluation observed.
-  candMask = liveCandMask_;
-
-  // Commit-side agreement: the gate-toggle scan and its scheduling guards
-  // consult overlays too, so a sharing mate must agree with the leader on
-  // every overlay the leader's changes will touch.
-  for (const FaultyChange& ch : faultyChanges_) {
-    if (candMask == 0) break;
-    for (const TransId t : net_.node(ch.node).gateOf) {
-      const auto& tr = net_.transistor(t);
-      if (tr.isFaultDevice()) continue;
-      if (findOverride(transOverride_[t.value], c) != nullptr) {
-        candMask = 0;  // leader skips this toggle; unoverridden mates would not
-        break;
-      }
-      candMask &= ~overrideLaneMask(t, group);
-      if (conductionState(tr.type, ch.oldValue) !=
-          conductionState(tr.type, ch.newValue)) {
-        for (const NodeId nb : {tr.source, tr.drain}) {
-          if (!net_.isInput(nb)) continue;
-          if (isStuckNode(nb, c)) {
-            candMask = 0;  // leader seeds a stuck input; non-stuck mates skip
-            break;
-          }
-          candMask &= ~stuckLaneMask(nb, group);
-        }
-        if (candMask == 0) break;
-      }
-    }
-  }
-
-  // Lane-masked commit: one word operation reconciles the leader and every
-  // sharing mate at each result node, exactly equivalent to per-circuit
-  // reconcile calls.
-  const std::uint32_t sharedMask = candMask | (1u << lanes::laneOf(c));
-  for (const auto& [n, v] : faultyResults_) {
-    const StateTable::LaneCommit lc = table_.commitLanes(n, group, sharedMask, v);
-    if (lc.insertedMask != 0) {
-      std::uint32_t m = lc.insertedMask;
-      while (m != 0) {
-        const std::uint32_t l = static_cast<std::uint32_t>(std::countr_zero(m));
-        m &= m - 1;
-        touchedInsert(lanes::circuitAt(group, l), n);
-      }
-      const auto delta = static_cast<std::int32_t>(std::popcount(lc.insertedMask));
-      addRecordWatch(n, delta);
-      divCount_[n.value] += static_cast<std::uint32_t>(delta);
-    } else if (lc.erasedMask != 0) {
-      const auto delta = static_cast<std::int32_t>(std::popcount(lc.erasedMask));
-      addRecordWatch(n, -delta);
-      divCount_[n.value] -= static_cast<std::uint32_t>(delta);
-    }
-  }
-
-  // Gate toggles schedule next-phase events for the leader and every
-  // sharing mate (mates were proven override-free on toggling transistors;
-  // the leader keeps its own scalar-path override check).
-  for (const FaultyChange& ch : faultyChanges_) {
-    for (const TransId t : net_.node(ch.node).gateOf) {
-      const auto& tr = net_.transistor(t);
-      if (tr.isFaultDevice()) continue;
-      if (conductionState(tr.type, ch.oldValue) ==
-          conductionState(tr.type, ch.newValue)) {
-        continue;
-      }
-      if (findOverride(transOverride_[t.value], c) == nullptr) {
-        scheduleFaulty(c, tr.source);
-        scheduleFaulty(c, tr.drain);
-      }
-      std::uint32_t m = candMask;
-      while (m != 0) {
-        const std::uint32_t l = static_cast<std::uint32_t>(std::countr_zero(m));
-        m &= m - 1;
-        scheduleFaulty(lanes::circuitAt(group, l), tr.source);
-        scheduleFaulty(lanes::circuitAt(group, l), tr.drain);
-      }
-    }
-  }
-
-  const std::uint32_t nShared =
-      static_cast<std::uint32_t>(std::popcount(candMask));
-  if (nShared != 0) {
-    // Each sharing mate, processed alone, would have grown identical
-    // vicinities and spent exactly the leader's member evaluations (whether
-    // solver-computed or memo-replayed), so credit that work: nodeEvals()
-    // stays invariant across lane widths, keeping per-pattern rows and
-    // checksummed work counts bit-identical to scalar runs.
-    const std::uint64_t solverDelta = solver_.nodeEvals() - solverEvals0;
-    const std::uint64_t memoDelta = memoReplayedEvals_ - memoEvals0;
-    solver_.creditLanes(solverDelta * nShared);
-    memoReplayedEvals_ += memoDelta * nShared;
-  }
-  return candMask;
 }
 
 std::uint32_t ConcurrentFaultSimulator::observe(

@@ -14,9 +14,8 @@
 //     that diverge on it or structurally differ adjacent to it (records on
 //     member or gate nodes, stuck nodes, transistor overrides — adjacency is
 //     needed because a fault can extend the vicinity in the faulty circuit).
-//     The faulty circuits are then simulated one at a time in ascending
-//     circuit-ID order, each under its own topology and its own pre-phase
-//     charge state.
+//     The faulty circuits are then simulated one at a time, each under its
+//     own topology and its own pre-phase charge state.
 //   * After each pattern the observed outputs are compared; a mismatch
 //     detects the fault and its circuit is dropped from simulation.
 //
@@ -79,25 +78,10 @@ struct FsimOptions {
   /// bug of missed divergence propagation. Must stay 0 in real use; only the
   /// oracle's mutation tests set it.
   std::uint32_t debugLoseTriggerEvery = 0;
-  /// Bit-parallel fault batching width: faulty circuits whose per-phase
-  /// event lists coincide are settled together through one solver pass, with
-  /// their states committed as word lanes (32 two-bit lanes per 64-bit
-  /// StateTable word). Sharing is attempted only within aligned windows of
-  /// this many consecutive circuit IDs; 1 disables batching (every circuit
-  /// is processed alone, the pre-lane behavior). Must be a power of two in
-  /// [1, 32]. Results are bit-identical for every width — only wall clock
-  /// changes (enforced by the diff oracle and the bench --check gate).
+  /// Retired word-lane fault-sharing width; must be 1 (the constructor
+  /// throws Error otherwise). Every faulty circuit is evaluated alone, as in
+  /// the paper; the field stays for source compatibility.
   std::uint32_t laneWidth = 1;
-  /// Scheduler-seeded share groups (laneWidth > 1 only): aligned lane
-  /// window indices — (circuitId - 1) / laneWidth over this engine's
-  /// locally renumbered faults — whose members the batch scheduler expects
-  /// to keep forming share groups (sched::BatchPlan::hintWindows, built
-  /// from matching detection history). Hinted windows are exempt from the
-  /// per-window share backoff: the matcher attempts group formation there
-  /// every phase instead of rediscovering, then abandoning, the window.
-  /// Results are bit-identical with or without hints (the scalar and lane
-  /// paths agree; hints only steer where match costs are paid).
-  std::vector<std::uint32_t> shareHintWindows;
   /// Opt-in asynchronous read-ahead during checkpoint replay (spilled
   /// checkpoints only): the replay reader prefetches and decodes the next
   /// settle chunk off-thread while the engine consumes the current one
@@ -326,7 +310,6 @@ class ConcurrentFaultSimulator {
  private:
   friend struct GoodCircuitView;
   friend struct FaultyCircuitView;
-  friend struct LaneLeaderView;
 
   // Per-circuit static overlays, sorted by circuit id.
   struct Override {
@@ -391,37 +374,6 @@ class ConcurrentFaultSimulator {
   /// Step 1 of the loop; false once the sequence is exhausted. `scratch`
   /// holds the pulled pattern (self-simulating engines).
   bool advancePattern(PatternSource* source, Pattern& scratch);
-
-  // --- lane-batched faulty processing (laneWidth > 1) ----------------------
-  //
-  // Faulty circuits are independent within a phase, so when several circuits
-  // of one aligned lane window enter the phase with identical event lists,
-  // one of them (the leader) is evaluated once through a read-matching view,
-  // and every candidate whose observable state matches the leader's complete
-  // read set provably grows the same vicinities, solves to the same states,
-  // and schedules the same next-phase events — its results are committed as
-  // word lanes (StateTable::commitLanes) without touching the solver again.
-  // Candidates that differ anywhere fall out of the shared mask and become
-  // the next round's leader among the remaining failures, so results stay
-  // bit-identical to scalar processing for every laneWidth.
-  //
-  // processFaultyGroup handles the WHOLE window on its first dispatch of the
-  // phase: one scan partitions the active circuits into share-groups (equal
-  // event lists) and done-stamps every member, so the scan is O(width) per
-  // window per phase rather than O(width) per circuit.
-  void processFaultyGroup(CircuitId c, bool coerce);
-  /// One leader evaluation over candMask's lanes; commits and schedules the
-  /// leader plus every matching candidate, and returns the matched mask.
-  std::uint32_t processLaneLeader(CircuitId c, std::uint32_t candMask,
-                                  bool coerce);
-  /// Lanes of `group` whose circuit has a node-stuck overlay at n.
-  std::uint32_t stuckLaneMask(NodeId n, std::uint32_t group) const;
-  /// Lanes of `group` whose circuit has a conduction override on t.
-  std::uint32_t overrideLaneMask(TransId t, std::uint32_t group) const;
-  State logNodeRead(NodeId n);
-  State logTransRead(TransId t);
-  /// Cached per-phase FNV signature of circuit c's current event list.
-  std::uint64_t seedSignature(CircuitId c);
 
   // Checkpoint replay (see checkpoint.hpp): the constructor (settle 0) and
   // advancePattern (every later settle) enter one settle block before each
@@ -587,50 +539,6 @@ class ConcurrentFaultSimulator {
   std::uint32_t triggerGen_ = 1;
   std::uint64_t debugTriggerCount_ = 0;
   std::vector<CircuitId> dropQueue_;
-
-  // Lane-batching scratch: per-circuit handled stamp for the current phase,
-  // plus the leader evaluation's read-matching state. Matching is folded
-  // into the reads themselves: the first visit to a node or transistor
-  // filters liveCandMask_ (stuck/override lanes out, then matchLanes on the
-  // observed value), so once the mask reaches zero every later read costs
-  // one branch and the failed group attempt degrades to a near-scalar eval.
-  std::vector<std::uint32_t> laneDoneStamp_;
-  std::vector<std::uint32_t> readNodeStamp_;
-  std::vector<State> readNodeValue_;  ///< first-visit value cache
-  std::vector<std::uint32_t> readTransStamp_;
-  std::uint32_t readGen_ = 0;
-  CircuitId leaderCircuit_ = 0;
-  std::uint32_t laneGroup_ = 0;      ///< leader's 32-circuit lane group
-  std::uint32_t liveCandMask_ = 0;   ///< candidates still matching all reads
-  /// One share-group of a lane window: circuits that entered the phase with
-  /// identical event lists. mateMask holds the non-leader members' lanes.
-  struct LaneGroup {
-    CircuitId leader;
-    std::uint32_t mateMask;
-  };
-  std::vector<LaneGroup> laneGroups_;
-  /// Per-phase FNV signature of curFaultySeeds_[c], computed lazily
-  /// (seedSignature): the window scan compares one u64 per mate instead of
-  /// deep-comparing seed vectors; equal signatures are confirmed by a full
-  /// compare, so a collision can never create a false share.
-  std::vector<std::uint64_t> seedSig_;
-  std::vector<std::uint32_t> seedSigStamp_;
-  /// Per-window share backoff. Matching costs real work per read, and a
-  /// window whose circuits are busy around their own fault sites
-  /// ("near-field" activity) structurally cannot share — every candidate
-  /// dies on a stuck overlay or a diverged record. Event activity is
-  /// temporally local, so after a window's share attempts produce zero
-  /// matches it skips the matching machinery (plain scalar processing —
-  /// results are bit-identical either way) for exponentially many phases,
-  /// up to 2^kMaxShareBackoff; a successful share decrements the streak,
-  /// so windows that share only rarely stay mostly skipped.
-  static constexpr std::uint32_t kMaxShareBackoff = 10;
-  std::vector<std::uint32_t> windowSkipUntil_;
-  std::vector<std::uint8_t> windowFailStreak_;
-  /// Windows pre-seeded by the scheduler (FsimOptions::shareHintWindows):
-  /// bit per window; hinted windows never enter the backoff — the schedule
-  /// already vouches that their members' divergence histories match.
-  std::vector<std::uint8_t> windowHinted_;
 
   std::uint32_t aliveCount_ = 0;
   std::uint32_t maxAliveObserved_ = 0;

@@ -12,9 +12,7 @@
 // *group*), with a 32-bit divergence mask saying which lanes actually hold a
 // record. Scanning a node's records — the inner loop of trigger collection —
 // walks a handful of words instead of one entry per diverging circuit, and
-// the lane-batched faulty-circuit path (concurrent_sim) matches and commits
-// a whole group of fault machines with a few SWAR word operations
-// (matchLanes / commitLanes).
+// a record commit is one masked SWAR word operation (commitLanes).
 //
 // Blocks live in one shared arena (a single std::vector<LaneBlock> pool)
 // indexed by per-node {offset, count, capacity} descriptors, sorted by
@@ -33,7 +31,7 @@
 
 namespace fmossim {
 
-/// Lane arithmetic shared by the state table and the lane-batched engine.
+/// Lane arithmetic of the state table's lane blocks.
 /// Circuit IDs start at 1 (0 is the good circuit), so circuit c occupies
 /// lane (c-1)%32 of group (c-1)/32. States pack as their enum value (S0=0,
 /// S1=1, SX=2) in 2-bit fields at bit 2*lane.
@@ -238,20 +236,6 @@ class StateTable {
     it->divMask |= mask;
     totalRecords_ += std::popcount(inserted);
     return {inserted, 0};
-  }
-
-  /// Lanes of `group` (restricted to candidateMask) whose state at node n
-  /// equals `value`, where lanes without a record read `background` — the
-  /// caller's circuit-independent fallback (the pre-phase good lens of the
-  /// concurrent engine, which this table cannot see).
-  std::uint32_t matchLanes(NodeId n, std::uint32_t group,
-                           std::uint32_t candidateMask, State value,
-                           State background) const {
-    const LaneBlock* blk = findBlock(n, group);
-    const std::uint32_t div = blk ? blk->divMask : 0;
-    std::uint32_t m = (background == value) ? ~div : 0u;
-    if (blk != nullptr) m |= div & lanes::eqLanes(blk->bits, value);
-    return candidateMask & m;
   }
 
   /// Removes circuit c's record at node n if present; returns true if a

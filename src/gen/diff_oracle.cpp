@@ -103,13 +103,12 @@ FaultList subsetFaults(const FaultList& faults,
 
 DiffOracle::DiffOracle(OracleOptions options) : options_(std::move(options)) {
   if (options_.jobsVariants.empty()) options_.jobsVariants = {1};
-  if (options_.laneVariants.empty()) options_.laneVariants = {1};
 }
 
 FaultSimResult DiffOracle::runBackend(const Network& net,
                                       const FaultList& faults,
                                       const TestSequence& seq, Backend backend,
-                                      unsigned jobs, std::uint32_t laneWidth,
+                                      unsigned jobs,
                                       std::string* backendName,
                                       bool stream) const {
   EngineOptions opts;
@@ -119,7 +118,6 @@ FaultSimResult DiffOracle::runBackend(const Network& net,
   opts.dropDetected = options_.dropDetected;
   opts.jobs = jobs;
   if (backend == Backend::Concurrent) {
-    opts.laneWidth = laneWidth;
     opts.debugLoseTriggerEvery = options_.debugLoseTriggerEvery;
   }
   Engine engine(net, faults, opts);
@@ -128,7 +126,6 @@ FaultSimResult DiffOracle::runBackend(const Network& net,
     // backend when the (possibly shrunk) fault list is too small to shard.
     *backendName = engine.backendName();
     if (*backendName == "sharded") *backendName += format("-%u", jobs);
-    if (laneWidth > 1) *backendName += format("-lanes%u", laneWidth);
     if (stream) *backendName += "-stream";
   }
   if (!stream) return engine.run(seq);
@@ -146,49 +143,47 @@ std::optional<Divergence> DiffOracle::diverges(const Network& net,
                                                std::uint32_t& runs) const {
   ++runs;
   const FaultSimResult ref =
-      runBackend(net, faults, seq, Backend::Serial, 1, 1, nullptr);
+      runBackend(net, faults, seq, Backend::Serial, 1, nullptr);
   // diffResults deliberately skips work counters (serial evaluates
   // differently by construction), but within the concurrent family
-  // totalNodeEvals is deterministic and lane/shard invariant — compare every
+  // totalNodeEvals is deterministic and shard invariant — compare every
   // comparand against the first one.
   bool haveEvals = false;
   std::uint64_t refEvals = 0;
   std::string refEvalsName;
+  const auto checkEvals =
+      [&](const FaultSimResult& r,
+          const std::string& n) -> std::optional<Divergence> {
+    if (!haveEvals) {
+      haveEvals = true;
+      refEvals = r.totalNodeEvals;
+      refEvalsName = n;
+      return std::nullopt;
+    }
+    if (r.totalNodeEvals == refEvals) return std::nullopt;
+    return Divergence{
+        n, "totalNodeEvals",
+        format("%s=%llu, %s=%llu", refEvalsName.c_str(),
+               static_cast<unsigned long long>(refEvals), n.c_str(),
+               static_cast<unsigned long long>(r.totalNodeEvals))};
+  };
   for (const unsigned jobs : options_.jobsVariants) {
-    for (const std::uint32_t lanes : options_.laneVariants) {
-      std::string name;
-      const FaultSimResult got =
-          runBackend(net, faults, seq, Backend::Concurrent, jobs, lanes, &name);
-      if (auto d = diffResults(faults, ref, got, name)) return d;
-      const auto checkEvals =
-          [&](const FaultSimResult& r,
-              const std::string& n) -> std::optional<Divergence> {
-        if (!haveEvals) {
-          haveEvals = true;
-          refEvals = r.totalNodeEvals;
-          refEvalsName = n;
-          return std::nullopt;
-        }
-        if (r.totalNodeEvals == refEvals) return std::nullopt;
-        return Divergence{
-            n, "totalNodeEvals",
-            format("%s=%llu, %s=%llu", refEvalsName.c_str(),
-                   static_cast<unsigned long long>(refEvals), n.c_str(),
-                   static_cast<unsigned long long>(r.totalNodeEvals))};
-      };
-      if (auto d = checkEvals(got, name)) return d;
-      if (options_.checkStreaming) {
-        // The pull-based pattern path must be bit-identical to the
-        // materialized one — same full diff, same deterministic work
-        // counter (the streamed sharded run's recording + replay evals sum
-        // to an unsharded run's).
-        std::string sname;
-        const FaultSimResult sgot =
-            runBackend(net, faults, seq, Backend::Concurrent, jobs, lanes,
-                       &sname, /*stream=*/true);
-        if (auto d = diffResults(faults, ref, sgot, sname)) return d;
-        if (auto d = checkEvals(sgot, sname)) return d;
-      }
+    std::string name;
+    const FaultSimResult got =
+        runBackend(net, faults, seq, Backend::Concurrent, jobs, &name);
+    if (auto d = diffResults(faults, ref, got, name)) return d;
+    if (auto d = checkEvals(got, name)) return d;
+    if (options_.checkStreaming) {
+      // The pull-based pattern path must be bit-identical to the
+      // materialized one — same full diff, same deterministic work
+      // counter (the streamed sharded run's recording + replay evals sum
+      // to an unsharded run's).
+      std::string sname;
+      const FaultSimResult sgot =
+          runBackend(net, faults, seq, Backend::Concurrent, jobs, &sname,
+                     /*stream=*/true);
+      if (auto d = diffResults(faults, ref, sgot, sname)) return d;
+      if (auto d = checkEvals(sgot, sname)) return d;
     }
   }
   return std::nullopt;

@@ -29,15 +29,11 @@ namespace fmossim {
 struct OracleOptions {
   DetectionPolicy policy = DetectionPolicy::DefiniteOnly;
   bool dropDetected = true;
-  /// Concurrent-side comparands: one engine per (jobs, laneWidth) pair —
-  /// the cross product of the two variant lists (jobs 1 = plain concurrent,
-  /// >1 = sharded). The serial backend is always ground truth.
+  /// Concurrent-side comparands: one engine per jobs value (1 = plain
+  /// concurrent, >1 = sharded). The serial backend is always ground truth.
+  /// Besides the full result diff, all concurrent-family comparands must
+  /// report the same totalNodeEvals (the work counter is shard invariant).
   std::vector<unsigned> jobsVariants = {1, 2, 4};
-  /// Lane-sharing widths crossed with jobsVariants. Besides the full result
-  /// diff, all concurrent-family comparands must report the same
-  /// totalNodeEvals (lane batching credits shared work so the deterministic
-  /// work counter stays invariant).
-  std::vector<std::uint32_t> laneVariants = {1, 4, 32};
   SimOptions sim;
   /// Shrink failing workloads to a minimized reproducer.
   bool shrink = true;
@@ -95,15 +91,14 @@ class DiffOracle {
 
  private:
   /// `backendName` (optional out) receives the name of the backend that
-  /// actually ran, suffixed with the jobs count for sharded runs, the lane
-  /// width for laneWidth > 1 and "-stream" for streaming runs. `stream`
+  /// actually ran, suffixed with the jobs count for sharded runs and
+  /// "-stream" for streaming runs. `stream`
   /// drives the sequence through Engine::runStream (a
   /// MaterializedPatternSource over `seq`) and derives the rowless result's
   /// per-pattern rows so the caller can diff it like a materialized one.
   FaultSimResult runBackend(const Network& net, const FaultList& faults,
                             const TestSequence& seq, Backend backend,
-                            unsigned jobs, std::uint32_t laneWidth,
-                            std::string* backendName,
+                            unsigned jobs, std::string* backendName,
                             bool stream = false) const;
   /// One full serial-vs-all-comparands comparison.
   std::optional<Divergence> diverges(const Network& net,

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 
 #include "util/strings.hpp"
 
@@ -88,6 +89,30 @@ class Parser {
     if (end == start) fail("expected number");
     pos_ += static_cast<std::size_t>(end - start);
     return v;
+  }
+
+  /// A count member: a plain non-negative decimal integer that fits T, read
+  /// exactly (no double round trip). A sign, fraction, exponent or
+  /// out-of-range value throws Error naming `key`.
+  template <typename T>
+  T parseCount(const std::string& key) {
+    skipWs();
+    const std::size_t start = pos_;
+    while (pos_ < text_.size() &&
+           (std::isalnum(static_cast<unsigned char>(text_[pos_])) ||
+            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.')) {
+      ++pos_;
+    }
+    const std::string token = text_.substr(start, pos_ - start);
+    const std::uint64_t max = std::numeric_limits<T>::max();
+    const ParsedNumber n = parseDecimal(token, max);
+    if (n.status != NumberStatus::Ok) {
+      pos_ = start;
+      fail(format("'%s' must be an integer in [0, %llu], got '%s'",
+                  key.c_str(), static_cast<unsigned long long>(max),
+                  token.c_str()));
+    }
+    return static_cast<T>(n.value);
   }
 
   bool parseBool() {
@@ -226,9 +251,8 @@ std::string toJson(const ScenarioResult& r) {
     out += format("\"jobs\": %u, ", row.jobs);
     out += "\"policy\": \"" + escape(row.policy) + "\", ";
     out += format("\"dropDetected\": %s, ", row.dropDetected ? "true" : "false");
-    out += format("\"laneWidth\": %u, ", row.laneWidth);
-    // Additive like laneWidth: emitted only for streaming rows, so
-    // materialized rows — and older baselines — stay byte-compatible.
+    // Additive: emitted only for streaming rows, so materialized rows — and
+    // older baselines — stay byte-compatible.
     if (row.streamed) out += "\"streamed\": true, ";
     // Additive like streamed: emitted only for non-default schedule
     // policies, so contiguous rows — and older parsers — are unaffected.
@@ -256,31 +280,33 @@ ScenarioResult parseBenchJson(const std::string& text) {
   Parser p(text);
   p.parseObject([&](const std::string& key) {
     if (key == "schemaVersion") {
-      r.schemaVersion = static_cast<int>(p.parseNumber());
+      r.schemaVersion = p.parseCount<int>(key);
     } else if (key == "scenario") {
       r.scenario = p.parseString();
     } else if (key == "description") {
       r.description = p.parseString();
     } else if (key == "circuit") {
       p.parseObject([&](const std::string& ck) {
-        const double v = p.parseNumber();
-        if (ck == "transistors") r.transistors = static_cast<std::uint32_t>(v);
-        else if (ck == "nodes") r.nodes = static_cast<std::uint32_t>(v);
-        else if (ck == "faults") r.faults = static_cast<std::uint32_t>(v);
-        else if (ck == "patterns") r.patterns = static_cast<std::uint32_t>(v);
-        else throw Error("bench JSON: unknown circuit key '" + ck + "'");
+        std::uint32_t* dest = ck == "transistors" ? &r.transistors
+                              : ck == "nodes"     ? &r.nodes
+                              : ck == "faults"    ? &r.faults
+                              : ck == "patterns"  ? &r.patterns
+                                                  : nullptr;
+        if (dest == nullptr) {
+          throw Error("bench JSON: unknown circuit key '" + ck + "'");
+        }
+        *dest = p.parseCount<std::uint32_t>(ck);
       });
     } else if (key == "checkpoint") {
       // Optional (schema 1 additive): absent in files written before the
       // checkpoint store existed.
       p.parseObject([&](const std::string& ck) {
-        const double v = p.parseNumber();
         if (ck == "budgetBytes") {
-          r.checkpointBudget = static_cast<std::uint64_t>(v);
+          r.checkpointBudget = p.parseCount<std::uint64_t>(ck);
         } else if (ck == "recordings") {
-          r.checkpointRecordings = static_cast<std::uint32_t>(v);
+          r.checkpointRecordings = p.parseCount<std::uint32_t>(ck);
         } else if (ck == "residentBytes") {
-          r.checkpointResidentBytes = static_cast<std::uint64_t>(v);
+          r.checkpointResidentBytes = p.parseCount<std::uint64_t>(ck);
         } else {
           throw Error("bench JSON: unknown checkpoint key '" + ck + "'");
         }
@@ -292,7 +318,7 @@ ScenarioResult parseBenchJson(const std::string& text) {
         if (hk == "timestamp") {
           r.hostTimestamp = p.parseString();
         } else if (hk == "hardwareConcurrency") {
-          r.hostHardwareConcurrency = static_cast<std::uint32_t>(p.parseNumber());
+          r.hostHardwareConcurrency = p.parseCount<std::uint32_t>(hk);
         } else if (hk == "buildType") {
           r.hostBuildType = p.parseString();
         } else {
@@ -303,18 +329,17 @@ ScenarioResult parseBenchJson(const std::string& text) {
       // Optional: present only in loadgen-emitted service benchmarks.
       ServiceSummary s;
       p.parseObject([&](const std::string& sk) {
-        const double v = p.parseNumber();
-        if (sk == "requests") s.requests = static_cast<std::uint32_t>(v);
-        else if (sk == "distinctWorkloads") s.distinctWorkloads = static_cast<std::uint32_t>(v);
-        else if (sk == "poolEngines") s.poolEngines = static_cast<std::uint32_t>(v);
-        else if (sk == "workers") s.workers = static_cast<std::uint32_t>(v);
-        else if (sk == "requestsPerSec") s.requestsPerSec = v;
-        else if (sk == "p50Ms") s.p50Ms = v;
-        else if (sk == "p95Ms") s.p95Ms = v;
-        else if (sk == "p99Ms") s.p99Ms = v;
-        else if (sk == "storeHits") s.storeHits = static_cast<std::uint64_t>(v);
-        else if (sk == "storeRecordings") s.storeRecordings = static_cast<std::uint64_t>(v);
-        else if (sk == "engineReuses") s.engineReuses = static_cast<std::uint64_t>(v);
+        if (sk == "requests") s.requests = p.parseCount<std::uint32_t>(sk);
+        else if (sk == "distinctWorkloads") s.distinctWorkloads = p.parseCount<std::uint32_t>(sk);
+        else if (sk == "poolEngines") s.poolEngines = p.parseCount<std::uint32_t>(sk);
+        else if (sk == "workers") s.workers = p.parseCount<std::uint32_t>(sk);
+        else if (sk == "requestsPerSec") s.requestsPerSec = p.parseNumber();
+        else if (sk == "p50Ms") s.p50Ms = p.parseNumber();
+        else if (sk == "p95Ms") s.p95Ms = p.parseNumber();
+        else if (sk == "p99Ms") s.p99Ms = p.parseNumber();
+        else if (sk == "storeHits") s.storeHits = p.parseCount<std::uint64_t>(sk);
+        else if (sk == "storeRecordings") s.storeRecordings = p.parseCount<std::uint64_t>(sk);
+        else if (sk == "engineReuses") s.engineReuses = p.parseCount<std::uint64_t>(sk);
         else throw Error("bench JSON: unknown service key '" + sk + "'");
       });
       r.service = s;
@@ -322,13 +347,16 @@ ScenarioResult parseBenchJson(const std::string& text) {
       // Optional: present only in SEU grading scenario benchmarks.
       SeuSummary s;
       p.parseObject([&](const std::string& sk) {
-        const double v = p.parseNumber();
-        if (sk == "injections") s.injections = static_cast<std::uint32_t>(v);
-        else if (sk == "instants") s.instants = static_cast<std::uint32_t>(v);
-        else if (sk == "detected") s.detected = static_cast<std::uint32_t>(v);
-        else if (sk == "silent") s.silent = static_cast<std::uint32_t>(v);
-        else if (sk == "latent") s.latent = static_cast<std::uint32_t>(v);
-        else throw Error("bench JSON: unknown seu key '" + sk + "'");
+        std::uint32_t* dest = sk == "injections" ? &s.injections
+                              : sk == "instants" ? &s.instants
+                              : sk == "detected" ? &s.detected
+                              : sk == "silent"   ? &s.silent
+                              : sk == "latent"   ? &s.latent
+                                                 : nullptr;
+        if (dest == nullptr) {
+          throw Error("bench JSON: unknown seu key '" + sk + "'");
+        }
+        *dest = p.parseCount<std::uint32_t>(sk);
       });
       r.seu = s;
     } else if (key == "rows") {
@@ -336,22 +364,20 @@ ScenarioResult parseBenchJson(const std::string& text) {
         BenchRow row;
         p.parseObject([&](const std::string& rk) {
           if (rk == "backend") row.backend = p.parseString();
-          else if (rk == "jobs") row.jobs = static_cast<unsigned>(p.parseNumber());
+          else if (rk == "jobs") row.jobs = p.parseCount<unsigned>(rk);
           else if (rk == "policy") row.policy = p.parseString();
           else if (rk == "dropDetected") row.dropDetected = p.parseBool();
-          // Additive: absent in pre-lane baselines, which parse as scalar.
-          else if (rk == "laneWidth") row.laneWidth = static_cast<std::uint32_t>(p.parseNumber());
           // Additive: absent in pre-streaming baselines (materialized rows).
           else if (rk == "streamed") row.streamed = p.parseBool();
           // Additive: absent in pre-schedule baselines (contiguous rows).
           else if (rk == "schedule") row.schedule = p.parseString();
           else if (rk == "medianMs") row.medianMs = p.parseNumber();
           else if (rk == "stddevMs") row.stddevMs = p.parseNumber();
-          else if (rk == "reps") row.reps = static_cast<unsigned>(p.parseNumber());
+          else if (rk == "reps") row.reps = p.parseCount<unsigned>(rk);
           else if (rk == "checksum") row.checksum = parseChecksum(p.parseString());
-          else if (rk == "nodeEvals") row.nodeEvals = static_cast<std::uint64_t>(p.parseNumber());
-          else if (rk == "numDetected") row.numDetected = static_cast<std::uint32_t>(p.parseNumber());
-          else if (rk == "numFaults") row.numFaults = static_cast<std::uint32_t>(p.parseNumber());
+          else if (rk == "nodeEvals") row.nodeEvals = p.parseCount<std::uint64_t>(rk);
+          else if (rk == "numDetected") row.numDetected = p.parseCount<std::uint32_t>(rk);
+          else if (rk == "numFaults") row.numFaults = p.parseCount<std::uint32_t>(rk);
           else throw Error("bench JSON: unknown row key '" + rk + "'");
         });
         r.rows.push_back(std::move(row));

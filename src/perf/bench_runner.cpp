@@ -148,7 +148,6 @@ ScenarioResult BenchRunner::runScenario(
     for (const RowSpec& spec : w.rows) {
       seu::CampaignOptions campaignOpts;
       campaignOpts.jobs = spec.jobs;
-      campaignOpts.laneWidth = spec.laneWidth;
       campaignOpts.policy = spec.policy;
       campaignOpts.naive = spec.seuNaive;
       campaignOpts.store = store;
@@ -158,8 +157,7 @@ ScenarioResult BenchRunner::runScenario(
       row.jobs = spec.jobs;
       row.policy = detectionPolicyName(spec.policy);
       row.dropDetected = spec.dropDetected;
-      row.laneWidth = spec.laneWidth;
-      row.reps = reps;
+        row.reps = reps;
 
       const auto runOnce = [&]() {
         return runSeuCampaign(w.net, w.seq, w.seuCampaign, campaignOpts);
@@ -212,7 +210,6 @@ ScenarioResult BenchRunner::runScenario(
     row.jobs = spec.jobs;
     row.policy = detectionPolicyName(spec.policy);
     row.dropDetected = spec.dropDetected;
-    row.laneWidth = spec.laneWidth;
     row.streamed = w.streamConfig.has_value();
     row.schedule = sched::schedulePolicyName(spec.schedule);
     row.reps = reps;

@@ -49,11 +49,10 @@ struct BenchConfig {
 /// One measured (scenario, configuration) cell.
 struct BenchRow {
   std::string backend;  ///< "serial", "concurrent", "sharded-<jobs>" (plus a
-                        ///< "-lanes<w>" suffix for lane-batched rows)
+                        ///< "-hist" suffix for history-scheduled rows)
   unsigned jobs = 1;    ///< shard count (1 for serial/plain concurrent)
   std::string policy;   ///< "any" or "definite"
   bool dropDetected = true;  ///< drop faulty circuits once detected
-  std::uint32_t laneWidth = 1;  ///< fault-lane sharing window (1 = scalar)
   /// True when the row ran through Engine::runStream over a pattern source
   /// (Workload::streamConfig) instead of a materialized sequence. The
   /// checksum stays comparable either way: resultChecksum folds the derived

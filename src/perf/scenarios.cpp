@@ -30,7 +30,6 @@ EngineOptions RowSpec::engineOptions() const {
   opts.policy = policy;
   opts.dropDetected = dropDetected;
   opts.batchFaults = batchFaults;
-  opts.laneWidth = laneWidth;
   opts.schedule = schedule;
   return opts;
 }
@@ -38,18 +37,13 @@ EngineOptions RowSpec::engineOptions() const {
 std::string RowSpec::label() const {
   if (backend == Backend::Serial) return "serial";
   std::string base = jobs > 1 ? "sharded-" + std::to_string(jobs) : "concurrent";
-  if (laneWidth > 1) base += "-lanes" + std::to_string(laneWidth);
   if (schedule == sched::SchedulePolicy::History) base += "-hist";
   return base;
 }
 
 std::string RowSpec::seuLabel() const {
-  std::string base = seuNaive
-                         ? "seu-naive"
-                         : (jobs > 1 ? "seu-replay-" + std::to_string(jobs)
-                                     : "seu-replay");
-  if (laneWidth > 1) base += "-lanes" + std::to_string(laneWidth);
-  return base;
+  if (seuNaive) return "seu-naive";
+  return jobs > 1 ? "seu-replay-" + std::to_string(jobs) : "seu-replay";
 }
 
 namespace {
@@ -150,26 +144,14 @@ Workload buildScenarioWorkload(const std::string& name) {
                              /*withSerial=*/false,
                              "RAM256, test sequence 1 (paper Fig. 3 / scaling "
                              "study: 1398 faults, 1447 patterns)");
-    // Lane-batched rows: the RAM fault universe enumerates both stuck-at
-    // polarities per storage node back to back, so adjacent circuit ids
-    // share vicinities often. Gated for bit-identity (equal checksums and
-    // nodeEvals vs the scalar rows) and for the share-backoff keeping the
-    // matching overhead bounded; see docs/BENCHMARKING.md for the measured
-    // lane-row record.
-    w.rows.push_back({Backend::Concurrent, 1, DetectionPolicy::AnyDifference,
-                      true, 0, 32});
-    w.rows.push_back({Backend::Concurrent, 4, DetectionPolicy::AnyDifference,
-                      true, 0, 32});
-    // History-schedule rows: laid out by the detection record the earlier
+    // History-schedule row: laid out by the detection record the earlier
     // contiguous sharded rows of this scenario published into the shared
     // per-scenario history store (bench_runner attaches it to every row).
     // Hard-to-detect faults are co-batched so cheap batches early-exit their
     // replay; checksums and nodeEvals must equal the contiguous rows' —
     // the policy only permutes batch membership.
     w.rows.push_back({Backend::Concurrent, 4, DetectionPolicy::AnyDifference,
-                      true, 0, 1, false, sched::SchedulePolicy::History});
-    w.rows.push_back({Backend::Concurrent, 4, DetectionPolicy::AnyDifference,
-                      true, 0, 32, false, sched::SchedulePolicy::History});
+                      true, 0, false, sched::SchedulePolicy::History});
     return w;
   }
   if (name == "fuzz_small") {
@@ -186,15 +168,11 @@ Workload buildScenarioWorkload(const std::string& name) {
     Workload w = fuzzScenario(name, fuzzGen(13, 120, 8, 240, 32),
                               "generated switch-level workload, large (120 "
                               "storage nodes, 240 faults)");
-    // Lane-sharing coverage on an irregular generated circuit (equal row
-    // checksums and nodeEvals vs the scalar rows gate bit-identity in CI).
-    w.rows.push_back({Backend::Concurrent, 1, DetectionPolicy::DefiniteOnly,
-                      true, 0, 32});
     // History-schedule coverage on an irregular generated circuit (seeded by
-    // the contiguous sharded rows above; bit-identity gated like the lane
-    // rows).
+    // the contiguous sharded rows above; checksums and nodeEvals must equal
+    // theirs).
     w.rows.push_back({Backend::Concurrent, 4, DetectionPolicy::DefiniteOnly,
-                      true, 0, 1, false, sched::SchedulePolicy::History});
+                      true, 0, false, sched::SchedulePolicy::History});
     return w;
   }
   // Parallel speedup trackers: exactly two rows — the jobs=1 concurrent
@@ -258,7 +236,7 @@ Workload buildScenarioWorkload(const std::string& name) {
     w.scenario = name;
     w.description =
         "RAM256 SEU grading campaign: 32 transient bit-flips on 4 instants; "
-        "checkpoint-replay tails (jobs/lane variants) vs naive from-scratch "
+        "checkpoint-replay tails (jobs variants) vs naive from-scratch "
         "baseline";
     RamCircuit ram = buildRam(ram256Config());
     w.seq = ramTestSequence1(ram);
@@ -274,8 +252,7 @@ Workload buildScenarioWorkload(const std::string& name) {
     const DetectionPolicy policy = DetectionPolicy::AnyDifference;
     w.rows = {{Backend::Concurrent, 1, policy, true},
               {Backend::Concurrent, 4, policy, true},
-              {Backend::Concurrent, 1, policy, true, 0, 32},
-              {Backend::Concurrent, 1, policy, true, 0, 1, /*seuNaive=*/true}};
+              {Backend::Concurrent, 1, policy, true, 0, /*seuNaive=*/true}};
     return w;
   }
   throw Error("unknown benchmark scenario '" + name + "' (see scenarioNames())");

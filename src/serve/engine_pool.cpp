@@ -23,7 +23,6 @@ std::uint64_t EnginePool::keyFor(std::uint64_t netFp, std::uint64_t faultsFp,
   fnvMix(h, static_cast<std::uint64_t>(options.backend));
   fnvMix(h, options.jobs);
   fnvMix(h, options.batchFaults);
-  fnvMix(h, options.laneWidth);
   fnvMix(h, static_cast<std::uint64_t>(options.policy));
   fnvMix(h, options.dropDetected ? 1 : 0);
   // The schedule policy does not change results, but it does change the

@@ -68,9 +68,19 @@ std::uint32_t u32From(const JsonValue& v, const char* key,
   return static_cast<std::uint32_t>(x);
 }
 
+// Admission check: a size past the daemon's limit is refused by name.
+void admit(const char* key, std::uint64_t value, std::uint64_t limit) {
+  if (value > limit) {
+    throw Error(std::string("workload: '") + key + "' " +
+                std::to_string(value) + " exceeds the admission limit " +
+                std::to_string(limit));
+  }
+}
+
 }  // namespace
 
 JsonValue WorkloadSpec::toJson() const {
+  requireUnitLaneWidth("WorkloadSpec::laneWidth", laneWidth);
   JsonValue v = JsonValue::makeObject();
   if (isInline()) {
     v.set("kind", JsonValue::makeString("inline"));
@@ -95,9 +105,8 @@ JsonValue WorkloadSpec::toJson() const {
     }
   }
   v.set("jobs", JsonValue::makeU64(jobs));
-  if (laneWidth != 1) v.set("laneWidth", JsonValue::makeU64(laneWidth));
-  // Additive like laneWidth: only non-default policies hit the wire, so
-  // requests to and from older endpoints stay byte-compatible.
+  // Additive: only non-default policies hit the wire, so requests to and
+  // from older endpoints stay byte-compatible.
   if (schedule != sched::SchedulePolicy::Contiguous) {
     v.set("schedule",
           JsonValue::makeString(sched::schedulePolicyName(schedule)));
@@ -119,22 +128,26 @@ WorkloadSpec WorkloadSpec::fromJson(const JsonValue& v) {
     spec.circuitSeed = seedFrom(v, "circuitSeed", 1);
     spec.seqSeed = seedFrom(v, "seqSeed", 0);
     spec.numNodes = u32From(v, "nodes", 0);
+    admit("nodes", spec.numNodes, kMaxNodes);
     spec.numInputs = u32From(v, "inputs", 0);
+    admit("inputs", spec.numInputs, kMaxInputs);
     spec.numFaults = u32From(v, "faults", 0);
+    admit("faults", spec.numFaults, kMaxFaults);
     spec.numPatterns = v.u64Or("patterns", 0);
     spec.stream = v.boolOr("stream", false);
     if (spec.stream && spec.seqSeed != 0) {
       throw Error("workload: stream is incompatible with seqSeed (derived "
                   "sequences are materialized)");
     }
-    if (!spec.stream && spec.numPatterns > 0xffffffffull) {
-      throw Error("workload: more than 2^32 patterns requires stream=true");
+    if (!spec.stream) {
+      admit("patterns", spec.numPatterns, kMaxMaterializedPatterns);
     }
     if (kind == "seu") {
       spec.seuInjections = u32From(v, "seuInjections", 0);
       if (spec.seuInjections == 0) {
         throw Error("workload: seu kind requires seuInjections >= 1");
       }
+      admit("seuInjections", spec.seuInjections, kMaxSeuInjections);
       spec.seuSeed = seedFrom(v, "seuSeed", 1);
       spec.seuInstants = u32From(v, "seuInstants", 0);
       if (spec.stream) {
@@ -153,10 +166,7 @@ WorkloadSpec WorkloadSpec::fromJson(const JsonValue& v) {
   spec.jobs = u32From(v, "jobs", 2);
   if (spec.jobs == 0) throw Error("workload: jobs must be >= 1");
   spec.laneWidth = u32From(v, "laneWidth", 1);
-  if (spec.laneWidth < 1 || spec.laneWidth > 32 ||
-      (spec.laneWidth & (spec.laneWidth - 1)) != 0) {
-    throw Error("workload: laneWidth must be a power of two in [1, 32]");
-  }
+  requireUnitLaneWidth("workload: laneWidth", spec.laneWidth);
   const std::string schedule = v.stringOr("schedule", "contiguous");
   if (const auto parsed = sched::parseSchedulePolicy(schedule)) {
     spec.schedule = *parsed;
@@ -231,7 +241,6 @@ EngineOptions specEngineOptions(const WorkloadSpec& spec) {
   EngineOptions opts;
   opts.backend = Backend::Concurrent;
   opts.jobs = spec.jobs;
-  opts.laneWidth = spec.laneWidth;
   opts.schedule = spec.schedule;
   opts.policy = spec.policy;
   opts.dropDetected = spec.dropDetected;

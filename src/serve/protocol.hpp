@@ -41,6 +41,16 @@ namespace fmossim::serve {
 /// workload kinds. Engine knobs ride along so tenants control parallelism
 /// and detection policy per request.
 struct WorkloadSpec {
+  /// Admission limits fromJson enforces on generated (gen/seu) specs, so a
+  /// single request cannot make the daemon build an arbitrarily large
+  /// circuit, fault list, materialized sequence or campaign. Streamed
+  /// sequences are flat in memory and take any 64-bit pattern count.
+  static constexpr std::uint32_t kMaxNodes = 1u << 16;
+  static constexpr std::uint32_t kMaxInputs = 1u << 12;
+  static constexpr std::uint32_t kMaxFaults = 1u << 16;
+  static constexpr std::uint64_t kMaxMaterializedPatterns = 1u << 20;
+  static constexpr std::uint32_t kMaxSeuInjections = 1u << 16;
+
   /// Generated kind: seed for GenOptions (non-zero pins below override the
   /// generator's defaults so client and server agree on exact sizes).
   std::uint64_t circuitSeed = 1;
@@ -83,8 +93,8 @@ struct WorkloadSpec {
 
   unsigned jobs = 2;  ///< per-request parallelism (>1 engages the sharded
                       ///< runner and with it the shared checkpoint store)
-  /// Fault-lane sharing window (EngineOptions::laneWidth): power of two in
-  /// [1, 32]; results are bit-identical for every width.
+  /// Retired word-lane fault-sharing width; must be 1. fromJson rejects a
+  /// "laneWidth" other than 1 and toJson never emits the field.
   std::uint32_t laneWidth = 1;
   /// Batch-layout policy (EngineOptions::schedule). "history" schedules on
   /// the pool's per-tenant detection history (recorded by this tenant's own
@@ -99,7 +109,8 @@ struct WorkloadSpec {
   bool isSeu() const { return !isInline() && seuInjections > 0; }
 
   JsonValue toJson() const;
-  /// Throws Error on malformed specs (unknown kind, bad policy string).
+  /// Throws Error on malformed specs (unknown kind, bad policy string) and
+  /// on sizes past the admission limits above.
   static WorkloadSpec fromJson(const JsonValue& v);
 };
 

@@ -120,7 +120,6 @@ void Server::execute(const std::shared_ptr<Job>& job) {
       // cancellation point.
       seu::CampaignOptions opts;
       opts.jobs = job->spec.jobs;
-      opts.laneWidth = job->spec.laneWidth;
       opts.policy = job->spec.policy;
       opts.store = store_;
       opts.checkPoint = [&job] {

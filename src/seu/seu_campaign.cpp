@@ -55,6 +55,7 @@ Outcome classify(const ConcurrentFaultSimulator& sim, std::uint32_t machine,
 CampaignResult runSeuCampaign(const Network& net, const TestSequence& seq,
                               const TransientList& campaign,
                               const CampaignOptions& options) {
+  requireUnitLaneWidth("CampaignOptions::laneWidth", options.laneWidth);
   if (campaign.empty()) {
     throw Error("SEU campaign has no injections");
   }
@@ -77,7 +78,6 @@ CampaignResult runSeuCampaign(const Network& net, const TestSequence& seq,
   engineOpts.sim = options.sim;
   engineOpts.policy = options.policy;
   engineOpts.dropDetected = true;
-  engineOpts.laneWidth = options.naive ? 1 : options.laneWidth;
 
   CampaignResult result;
   result.injections.resize(campaign.size());

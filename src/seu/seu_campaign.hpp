@@ -16,14 +16,13 @@
 //     fold, zero solver work), flips every machine, and runs the concurrent
 //     engine over only the TAIL of the sequence, replaying the good trace
 //     (runTransientTail);
-//   * same-instant machines batch through the existing concurrent
-//     scheduler, and — since they share their entire pre-injection
-//     history — through word lanes when laneWidth > 1.
+//   * same-instant machines share one tail engine, simulated concurrently
+//     like the faulty circuits of a permanent-fault run.
 //
 // Each injection is classified detected (output mismatch at some pattern),
 // latent (undetected but state still differs at end of sequence) or silent
 // (reconverged). Results are bit-identical to per-injection naive runs
-// (oracle-tested) and deterministic across jobs and lane widths.
+// (oracle-tested) and deterministic across jobs.
 #pragma once
 
 #include <cstdint>
@@ -53,8 +52,8 @@ struct CampaignOptions {
   /// Worker threads claiming injection groups (replay mode) or single
   /// injections (naive mode). Results are bit-identical for every value.
   unsigned jobs = 1;
-  /// Lane width for the per-group engines (see FsimOptions::laneWidth);
-  /// same-instant SEUs are exactly the share-rich workload lanes want.
+  /// Retired word-lane fault-sharing width; must be 1 (runSeuCampaign
+  /// throws Error otherwise). Kept for source compatibility only.
   std::uint32_t laneWidth = 1;
   DetectionPolicy policy = DetectionPolicy::DefiniteOnly;
   SimOptions sim;
@@ -97,8 +96,8 @@ struct CampaignResult {
 
 /// Grades `campaign` against `seq` on `net`. Validates every injection
 /// (known non-input node, instant within the sequence); throws Error on a
-/// bad spec. Deterministic for fixed inputs regardless of options.jobs,
-/// options.laneWidth and checkpoint cache state.
+/// bad spec. Deterministic for fixed inputs regardless of options.jobs and
+/// checkpoint cache state.
 CampaignResult runSeuCampaign(const Network& net, const TestSequence& seq,
                               const TransientList& campaign,
                               const CampaignOptions& options = {});

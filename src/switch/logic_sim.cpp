@@ -177,10 +177,8 @@ SettleResult LogicSimulator::settle() {
                              ? vicBuilder_.growStatic(view, seed, vic_)
                              : vicBuilder_.grow(view, seed, vic_);
       if (!grown) continue;
-      // Single-machine solve: lane batching (FsimOptions::laneWidth) never
-      // reaches this path. The good machine always runs single-lane — its
-      // state is the shared background every faulty lane diverges from, so
-      // there is nothing to batch it against.
+      // Single-machine solve: the good machine is the shared background
+      // every faulty circuit diverges from.
       solver_.solve(vic_, newStates_);
       for (std::size_t i = 0; i < vic_.size(); ++i) {
         if (newStates_[i] != vic_.memberCharge[i]) {

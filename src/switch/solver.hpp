@@ -46,13 +46,6 @@ class SteadyStateSolver {
   /// Total vicinity solves performed.
   std::uint64_t solves() const { return solves_; }
 
-  /// Credits member evaluations that a lane-batched caller settled without a
-  /// separate solve: when one solve's result is committed to several fault
-  /// lanes at once, each extra lane is charged the evaluations a standalone
-  /// run of that lane would have spent, keeping nodeEvals() invariant across
-  /// lane widths.
-  void creditLanes(std::uint64_t memberEvals);
-
   void resetCounters() {
     nodeEvals_ = 0;
     solves_ = 0;

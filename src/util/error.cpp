@@ -3,7 +3,16 @@
 #include <cstdio>
 #include <cstdlib>
 
-namespace fmossim::detail {
+namespace fmossim {
+
+void requireUnitLaneWidth(const char* field, std::uint32_t laneWidth) {
+  if (laneWidth != 1) {
+    throw Error(std::string(field) + " must be 1: word-lane fault sharing was "
+                "removed (got " + std::to_string(laneWidth) + ")");
+  }
+}
+
+namespace detail {
 
 void assertFailed(const char* expr, const char* file, int line,
                   const char* msg) {
@@ -12,4 +21,5 @@ void assertFailed(const char* expr, const char* file, int line,
   std::abort();
 }
 
-}  // namespace fmossim::detail
+}  // namespace detail
+}  // namespace fmossim

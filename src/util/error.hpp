@@ -6,6 +6,7 @@
 // corrupted simulation is far worse than an abort).
 #pragma once
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -17,6 +18,13 @@ class Error : public std::runtime_error {
  public:
   explicit Error(const std::string& what) : std::runtime_error(what) {}
 };
+
+/// The retired word-lane fault-sharing width fields (FsimOptions,
+/// EngineOptions, seu::CampaignOptions, serve::WorkloadSpec and the
+/// FaultSchedule::plan argument) stay for source compatibility but accept
+/// only 1: throws Error naming `field` for any other value, so no setting is
+/// silently ignored.
+void requireUnitLaneWidth(const char* field, std::uint32_t laneWidth);
 
 namespace detail {
 [[noreturn]] void assertFailed(const char* expr, const char* file, int line,

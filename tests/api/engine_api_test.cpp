@@ -182,6 +182,28 @@ TEST(EngineApiTest, DefaultDetectionPolicyIsUniform) {
   EXPECT_EQ(SerialOptions{}.policy, DetectionPolicy::DefiniteOnly);
 }
 
+// The retired lane-sharing width fails closed on every backend, sharded
+// included, and again when rebind() installs new options.
+TEST(EngineApiTest, LaneWidthMustBeOne) {
+  const ShiftRegister sr = buildShiftRegister(1);
+  const FaultList faults = shiftFaults(sr);
+  for (const Backend backend : {Backend::Serial, Backend::Concurrent}) {
+    for (const unsigned jobs : {1u, 4u}) {
+      EngineOptions opts;
+      opts.backend = backend;
+      opts.jobs = jobs;
+      opts.laneWidth = 32;
+      EXPECT_THROW(Engine(sr.net, faults, opts), Error)
+          << static_cast<int>(backend) << " jobs=" << jobs;
+    }
+  }
+  Engine engine(sr.net, faults, {.backend = Backend::Concurrent});
+  EXPECT_THROW(
+      engine.rebind(sr.net, faults,
+                    {.backend = Backend::Concurrent, .laneWidth = 8}),
+      Error);
+}
+
 TEST(EngineApiTest, BackendNamesAndAccessors) {
   const ShiftRegister sr = buildShiftRegister(1);
   const FaultList faults = shiftFaults(sr);

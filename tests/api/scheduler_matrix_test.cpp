@@ -155,7 +155,7 @@ TEST(SchedulerMatrixTest, NodeEvalsAndMaxAliveInvariantAcrossJobsAndBatches) {
 }
 
 // Schedule-policy matrix (the FaultSchedule layer's acceptance property):
-// policy x jobs x laneWidth, every cell bit-identical to the contiguous
+// policy x jobs x seeding, every cell bit-identical to the contiguous
 // default. The history rows are laid out by the detection record a prior
 // contiguous run published into a shared HistoryStore — batch membership
 // is permuted, results must not move. History rows WITHOUT any recorded
@@ -184,21 +184,17 @@ TEST(SchedulerMatrixTest, SchedulePolicyMatrixBitIdentical) {
     for (const sched::SchedulePolicy policy :
          {sched::SchedulePolicy::Contiguous, sched::SchedulePolicy::History}) {
       for (const unsigned jobs : {1u, 2u, 4u}) {
-        for (const std::uint32_t lanes : {1u, 32u}) {
-          for (const bool seeded : {true, false}) {
-            EngineOptions opts = refOpts;
-            opts.schedule = policy;
-            opts.jobs = jobs;
-            opts.laneWidth = lanes;
-            if (seeded) opts.historyStore = history;
-            Engine engine(w.net, w.faults, opts);
-            expectEqualResults(
-                ref, engine.run(w.seq),
-                w.name + " schedule=" + sched::schedulePolicyName(policy) +
-                    " jobs=" + std::to_string(jobs) +
-                    " lanes=" + std::to_string(lanes) +
-                    (seeded ? " seeded" : " unseeded"));
-          }
+        for (const bool seeded : {true, false}) {
+          EngineOptions opts = refOpts;
+          opts.schedule = policy;
+          opts.jobs = jobs;
+          if (seeded) opts.historyStore = history;
+          Engine engine(w.net, w.faults, opts);
+          expectEqualResults(
+              ref, engine.run(w.seq),
+              w.name + " schedule=" + sched::schedulePolicyName(policy) +
+                  " jobs=" + std::to_string(jobs) +
+                  (seeded ? " seeded" : " unseeded"));
         }
       }
     }
@@ -380,54 +376,41 @@ TEST(SchedulerMatrixTest, HistoryPlanIsValidPermutation) {
   }
   const sched::HistorySchedule schedule(history);
   for (const unsigned jobs : {1u, 2u, 4u, 8u}) {
-    for (const std::uint32_t lanes : {1u, 32u}) {
-      const sched::BatchPlan plan = schedule.plan(n, jobs, 0, lanes);
-      ASSERT_EQ(plan.order.size(), n);
-      std::vector<bool> seen(n, false);
-      for (const std::uint32_t g : plan.order) {
-        ASSERT_LT(g, n);
-        ASSERT_FALSE(seen[g]);
-        seen[g] = true;
-      }
-      std::vector<bool> covered(n, false);
-      for (const auto& [begin, end] : plan.slices) {
-        ASSERT_LT(begin, end);
-        ASSERT_LE(end, n);
-        for (std::uint32_t pos = begin; pos < end; ++pos) {
-          ASSERT_FALSE(covered[pos]);
-          covered[pos] = true;
-        }
-      }
-      for (std::uint32_t pos = 0; pos < n; ++pos) EXPECT_TRUE(covered[pos]);
-      // Undetected faults occupy the tail of the permutation: everything
-      // after the first undetected position must also be undetected.
-      bool sawUndetected = false;
-      for (std::uint32_t pos = 0; pos < n; ++pos) {
-        const bool undetected =
-            history->detectedAtPattern[plan.order[pos]] < 0;
-        if (sawUndetected) EXPECT_TRUE(undetected) << "position " << pos;
-        sawUndetected = sawUndetected || undetected;
-      }
-      if (lanes == 1) {
-        // Scalar plans carry no hints at all (hintWindows stays empty).
-        EXPECT_TRUE(plan.hintWindows.empty());
-      } else {
-        ASSERT_EQ(plan.hintWindows.size(), plan.slices.size());
-        for (std::size_t b = 0; b < plan.slices.size(); ++b) {
-          const std::uint32_t span =
-              plan.slices[b].second - plan.slices[b].first;
-          for (const std::uint32_t widx : plan.hintWindows[b]) {
-            EXPECT_LT(widx * lanes, span);
-          }
-        }
+    const sched::BatchPlan plan = schedule.plan(n, jobs, 0);
+    ASSERT_EQ(plan.order.size(), n);
+    std::vector<bool> seen(n, false);
+    for (const std::uint32_t g : plan.order) {
+      ASSERT_LT(g, n);
+      ASSERT_FALSE(seen[g]);
+      seen[g] = true;
+    }
+    std::vector<bool> covered(n, false);
+    for (const auto& [begin, end] : plan.slices) {
+      ASSERT_LT(begin, end);
+      ASSERT_LE(end, n);
+      for (std::uint32_t pos = begin; pos < end; ++pos) {
+        ASSERT_FALSE(covered[pos]);
+        covered[pos] = true;
       }
     }
+    for (std::uint32_t pos = 0; pos < n; ++pos) EXPECT_TRUE(covered[pos]);
+    // Undetected faults occupy the tail of the permutation: everything
+    // after the first undetected position must also be undetected.
+    bool sawUndetected = false;
+    for (std::uint32_t pos = 0; pos < n; ++pos) {
+      const bool undetected =
+          history->detectedAtPattern[plan.order[pos]] < 0;
+      if (sawUndetected) EXPECT_TRUE(undetected) << "position " << pos;
+      sawUndetected = sawUndetected || undetected;
+    }
   }
+  // The retired lane-sharing width fails closed.
+  EXPECT_THROW(schedule.plan(n, 2, 0, 32), Error);
   // Size mismatch (history from a different fault list): contiguous
   // fallback — identity order, the default slices.
-  const sched::BatchPlan fallback = schedule.plan(n + 5, 2, 0, 1);
+  const sched::BatchPlan fallback = schedule.plan(n + 5, 2, 0);
   EXPECT_TRUE(fallback.order.empty());
-  EXPECT_EQ(fallback.slices, sched::contiguousBatches(n + 5, 2, 0, 1));
+  EXPECT_EQ(fallback.slices, sched::contiguousBatches(n + 5, 2, 0));
 }
 
 // Checkpoint read-ahead: with the good-machine trace spilled to disk (tiny

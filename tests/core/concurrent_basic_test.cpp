@@ -56,6 +56,21 @@ TEST(ConcurrentBasicTest, NoFaultsMatchesLogicSimulator) {
   EXPECT_EQ(sim.recordCount(), 0u);
 }
 
+// Word-lane fault sharing was removed: the retained option accepts only 1
+// and fails closed on anything else instead of being silently ignored.
+TEST(ConcurrentBasicTest, LaneWidthMustBeOne) {
+  InvChain f;
+  FaultList faults;
+  faults.add(Fault::nodeStuckAt(f.net, f.mid, State::S0));
+  for (const std::uint32_t width : {0u, 2u, 32u}) {
+    FsimOptions opts;
+    opts.laneWidth = width;
+    EXPECT_THROW(ConcurrentFaultSimulator(f.net, faults, opts), Error)
+        << width;
+  }
+  EXPECT_NO_THROW(ConcurrentFaultSimulator(f.net, faults, FsimOptions{}));
+}
+
 TEST(ConcurrentBasicTest, StuckNodeCreatesDivergenceDownstream) {
   InvChain f;
   FaultList faults;

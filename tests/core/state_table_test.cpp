@@ -124,8 +124,8 @@ TEST(StateTableTest, LookupReportsDivergenceOnlyWhenRecorded) {
 // --- lane encoding ---------------------------------------------------------
 //
 // The table packs 32 circuits' ternary states into one 64-bit word (2 bits
-// per lane). These tests pin the SWAR helpers and the word-wide operations
-// (commitLanes / matchLanes) to a straightforward per-circuit reference.
+// per lane). These tests pin the SWAR helpers and the word-wide commit
+// (commitLanes) to a straightforward per-circuit reference.
 
 TEST(StateTableLanesTest, SwarHelpersRoundTrip) {
   // spread2/compressEven are inverse Morton shuffles.
@@ -233,36 +233,6 @@ TEST(StateTableLanesTest, CommitLanesEqualsPerCircuitReconcile) {
     for (CircuitId c = 1; c <= 64; ++c) {
       EXPECT_EQ(word.stateOf(NodeId(0), c), scalar.stateOf(NodeId(0), c));
       EXPECT_EQ(word.hasRecord(NodeId(0), c), scalar.hasRecord(NodeId(0), c));
-    }
-  }
-}
-
-TEST(StateTableLanesTest, MatchLanesEqualsPerCircuitComparison) {
-  const Network net = twoNodeNet();
-  Rng rng(789);
-  const auto randomState = [&] {
-    const std::uint32_t r = rng.below(3);
-    return r == 0 ? State::S0 : r == 1 ? State::S1 : State::SX;
-  };
-  for (int trial = 0; trial < 300; ++trial) {
-    StateTable t(net);
-    t.setGood(NodeId(0), randomState());
-    for (int k = 0; k < 10; ++k) {
-      t.reconcile(NodeId(0), 1 + rng.below(64), randomState());
-    }
-    const std::uint32_t group = rng.below(2);
-    const std::uint32_t cand = rng.next() & 0xFFFFFFFFu;
-    const State v = randomState();
-    // Background is the caller's fallback for recordless lanes and may
-    // differ from the table's current good state (pre-phase lens).
-    const State bg = randomState();
-    const std::uint32_t got = t.matchLanes(NodeId(0), group, cand, v, bg);
-    for (std::uint32_t l = 0; l < lanes::kLaneCount; ++l) {
-      const CircuitId c = lanes::circuitAt(group, l);
-      const StateTable::Lookup r = t.lookup(NodeId(0), c);
-      const State observed = r.diverges ? r.value : bg;
-      const bool expect = ((cand >> l) & 1u) != 0 && observed == v;
-      EXPECT_EQ(((got >> l) & 1u) != 0, expect) << "lane " << l;
     }
   }
 }

@@ -8,9 +8,9 @@
 //     GoodMachineCheckpoint::fingerprint() of the materialized sequence —
 //     the invariant the checkpoint store's streamed cache keying rests on;
 //   * Engine::runStream produces results checksum-identical to Engine::run
-//     across the diff-oracle matrix (serial / concurrent / sharded{1,2,4} x
-//     laneWidth {1,32}), with the derived per-pattern rows matching the
-//     materialized rows field by field.
+//     across the diff-oracle matrix (serial / concurrent / sharded{2,4}),
+//     with the derived per-pattern rows matching the materialized rows
+//     field by field.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -106,7 +106,7 @@ TEST(PatternSourceTest, FileSourceRoundTripsTheTextFormat) {
   std::remove(path.c_str());
 }
 
-// The diff-oracle matrix: every backend/jobs/laneWidth combination must
+// The diff-oracle matrix: every backend/jobs combination must
 // produce a streamed result checksum-identical to its materialized run,
 // with the derived rows matching the materialized rows exactly.
 TEST(PatternSourceTest, StreamedChecksumMatchesMaterializedAcrossMatrix) {
@@ -115,23 +115,21 @@ TEST(PatternSourceTest, StreamedChecksumMatchesMaterializedAcrossMatrix) {
   struct Config {
     Backend backend;
     unsigned jobs;
-    std::uint32_t laneWidth;
   };
   const Config matrix[] = {
-      {Backend::Serial, 1, 1},     {Backend::Concurrent, 1, 1},
-      {Backend::Concurrent, 1, 32}, {Backend::Concurrent, 2, 1},
-      {Backend::Concurrent, 2, 32}, {Backend::Concurrent, 4, 1},
+      {Backend::Serial, 1},
+      {Backend::Concurrent, 1},
+      {Backend::Concurrent, 2},
+      {Backend::Concurrent, 4},
   };
 
   for (const Config& cfg : matrix) {
     EngineOptions opts;
     opts.backend = cfg.backend;
     opts.jobs = cfg.jobs;
-    opts.laneWidth = cfg.laneWidth;
     Engine engine(w.net, w.faults, opts);
     SCOPED_TRACE(std::string(engine.backendName()) +
-                 " jobs=" + std::to_string(cfg.jobs) +
-                 " lanes=" + std::to_string(cfg.laneWidth));
+                 " jobs=" + std::to_string(cfg.jobs));
 
     const FaultSimResult ref = engine.run(w.seq);
     MaterializedPatternSource source(w.seq);

@@ -223,6 +223,53 @@ TEST(BenchJsonTest, RejectsMalformedInput) {
       Error);
 }
 
+// Counts go through one checked integer reader: a negative, fractional or
+// out-of-range value is an Error naming the key, never a cast of a double.
+TEST(BenchJsonTest, RejectsCountsThatAreNotIntegersInRange) {
+  const std::string good = toJson(sample());
+  ASSERT_NO_THROW(parseBenchJson(good));
+  struct Case {
+    const char* from;
+    const char* to;
+    const char* key;
+  };
+  for (const Case& c : {Case{"\"jobs\": 4", "\"jobs\": -1", "jobs"},
+                        Case{"\"reps\": 5", "\"reps\": 1e20", "reps"},
+                        Case{"\"numFaults\": 32", "\"numFaults\": 2.5",
+                             "numFaults"},
+                        Case{"\"nodeEvals\": 987654321",
+                             "\"nodeEvals\": 18446744073709551616",
+                             "nodeEvals"},
+                        Case{"\"schemaVersion\": 1",
+                             "\"schemaVersion\": -1", "schemaVersion"}}) {
+    std::string bad = good;
+    const auto pos = bad.find(c.from);
+    ASSERT_NE(pos, std::string::npos) << c.from;
+    bad.replace(pos, std::string(c.from).size(), c.to);
+    try {
+      parseBenchJson(bad);
+      ADD_FAILURE() << "accepted " << c.to;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(c.key), std::string::npos)
+          << e.what();
+    }
+  }
+  // The largest u64 itself is a legal nodeEvals, read exactly.
+  std::string big = good;
+  const std::string from = "\"nodeEvals\": 987654321";
+  big.replace(big.find(from), from.size(),
+              "\"nodeEvals\": 18446744073709551615");
+  EXPECT_EQ(parseBenchJson(big).rows[0].nodeEvals, 18446744073709551615ull);
+}
+
+// The retired laneWidth row key is rejected like any other unknown key.
+TEST(BenchJsonTest, RejectsLaneWidthRowKey) {
+  std::string json = toJson(sample());
+  const std::string from = "\"jobs\": 4, ";
+  json.replace(json.find(from), from.size(), from + "\"laneWidth\": 1, ");
+  EXPECT_THROW(parseBenchJson(json), Error);
+}
+
 TEST(BenchJsonTest, FileNamingAndWrite) {
   EXPECT_EQ(benchFileName("ram64_seq1"), "BENCH_ram64_seq1.json");
   const ScenarioResult r = sample();

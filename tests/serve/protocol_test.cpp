@@ -131,16 +131,80 @@ TEST(WorkloadSpecTest, RejectsMalformedSpecs) {
         "\"seuInstants\": 4294967304}"}) {
     EXPECT_THROW(WorkloadSpec::fromJson(JsonValue::parse(doc)), Error) << doc;
   }
-  // The largest u32 itself is a legal count.
-  EXPECT_EQ(
-      WorkloadSpec::fromJson(JsonValue::parse("{\"nodes\": 4294967295}"))
-          .numNodes,
-      4294967295u);
+  // The largest u32 itself is a legal value of an unlimited count.
+  EXPECT_EQ(WorkloadSpec::fromJson(
+                JsonValue::parse("{\"kind\": \"seu\", \"seuInjections\": 4, "
+                                 "\"seuInstants\": 4294967295}"))
+                .seuInstants,
+            4294967295u);
   WorkloadSpec inlineSpec;
   inlineSpec.netlist = "this is not a netlist";
   inlineSpec.sequence = "nor a sequence";
   inlineSpec.faults = "all-node-stuck";
   EXPECT_THROW(buildWorkload(inlineSpec), Error);
+}
+
+// Admission limits: every size a generated spec can request is bounded by a
+// named constant; the limit itself is admitted and one past it is refused
+// with the field named. Streamed sequences take any pattern count.
+TEST(WorkloadSpecTest, AdmissionLimitsBoundGeneratedSizes) {
+  struct Case {
+    const char* field;
+    std::uint64_t limit;
+    const char* prefix;
+  };
+  for (const Case& c :
+       {Case{"nodes", WorkloadSpec::kMaxNodes, "{"},
+        Case{"inputs", WorkloadSpec::kMaxInputs, "{"},
+        Case{"faults", WorkloadSpec::kMaxFaults, "{"},
+        Case{"patterns", WorkloadSpec::kMaxMaterializedPatterns, "{"},
+        Case{"seuInjections", WorkloadSpec::kMaxSeuInjections,
+             "{\"kind\": \"seu\", "}}) {
+    const auto doc = [&](std::uint64_t value) {
+      return std::string(c.prefix) + "\"" + c.field +
+             "\": " + std::to_string(value) + "}";
+    };
+    EXPECT_NO_THROW(WorkloadSpec::fromJson(JsonValue::parse(doc(c.limit))))
+        << doc(c.limit);
+    try {
+      WorkloadSpec::fromJson(JsonValue::parse(doc(c.limit + 1)));
+      ADD_FAILURE() << "admitted " << doc(c.limit + 1);
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos)
+          << e.what();
+    }
+  }
+  // A non-streamed request for 2^32-1 patterns fits the wire field but
+  // would make buildWorkload materialize the whole sequence.
+  EXPECT_THROW(WorkloadSpec::fromJson(
+                   JsonValue::parse("{\"patterns\": 4294967295}")),
+               Error);
+  EXPECT_EQ(WorkloadSpec::fromJson(
+                JsonValue::parse("{\"patterns\": 4294967296, "
+                                 "\"stream\": true}"))
+                .numPatterns,
+            4294967296ull);
+}
+
+// Word-lane fault sharing was removed: laneWidth 1 (or absent) is the only
+// accepted value, and the field never goes on the wire.
+TEST(WorkloadSpecTest, LaneWidthMustBeOne) {
+  EXPECT_EQ(WorkloadSpec::fromJson(JsonValue::parse("{\"laneWidth\": 1}"))
+                .laneWidth,
+            1u);
+  for (const char* doc : {"{\"laneWidth\": 32}", "{\"laneWidth\": 0}"}) {
+    try {
+      WorkloadSpec::fromJson(JsonValue::parse(doc));
+      ADD_FAILURE() << "accepted " << doc;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("laneWidth"), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(WorkloadSpec{}.toJson().find("laneWidth"), nullptr);
+  WorkloadSpec wide;
+  wide.laneWidth = 32;
+  EXPECT_THROW(wide.toJson(), Error);
 }
 
 TEST(WorkloadSpecTest, ExpansionIsDeterministicAcrossEndpoints) {

@@ -202,6 +202,36 @@ TEST(ServerTest, MalformedRequestsBecomeErrorResponses) {
   server.stop();
 }
 
+// Admission limits: an oversized generated workload gets an error reply
+// before anything is built or queued, and the daemon keeps answering.
+TEST(ServerTest, OversizedSubmitIsRefusedAndServingContinues) {
+  Server server{ServerOptions{}};
+  server.start();
+  for (const char* bad : {
+           "{\"verb\": \"submit\", \"workload\": {\"patterns\": 4294967295}}",
+           "{\"verb\": \"submit\", \"workload\": {\"nodes\": 1000000}}",
+           "{\"verb\": \"submit\", \"workload\": {\"laneWidth\": 32}}",
+       }) {
+    const JsonValue resp = JsonValue::parse(server.handleLine(bad));
+    EXPECT_FALSE(resp.boolOr("ok", true)) << bad;
+    EXPECT_FALSE(resp.stringOr("error", "").empty()) << bad;
+  }
+  EXPECT_EQ(server.stats().submitted, 0u);
+
+  const JsonValue submitted =
+      JsonValue::parse(server.handleLine(submitRequest(8).dump()));
+  ASSERT_TRUE(submitted.boolOr("ok", false));
+  JsonValue resultReq = JsonValue::makeObject();
+  resultReq.set("verb", JsonValue::makeString("result"));
+  resultReq.set("id", JsonValue::makeU64(submitted.u64Or("id", 0)));
+  const JsonValue resolved =
+      JsonValue::parse(server.handleLine(resultReq.dump()));
+  ASSERT_EQ(resolved.stringOr("status", ""), "done");
+  EXPECT_EQ(JobResult::fromJson(resolved.get("result")).checksum,
+            directChecksum(8));
+  server.stop();
+}
+
 TEST(ServerTest, QueueBackpressureRejectsWhenFull) {
   // No workers claim jobs (workers start only with start()), so the queue
   // fills to its bound and the next submit is rejected.

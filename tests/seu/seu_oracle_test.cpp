@@ -1,8 +1,7 @@
 // SEU campaign oracle: checkpoint-replay transient grading must be
 // bit-identical to naive from-scratch injection of each transient — per
 // injection (outcome AND detecting pattern), not just in aggregate — and
-// deterministic across worker counts, lane widths and checkpoint cache
-// state. The naive engine self-simulates the whole sequence per injection;
+// deterministic across worker counts and checkpoint cache state. The naive engine self-simulates the whole sequence per injection;
 // the replay engine materializes the group's instant from the checkpoint
 // and simulates only the tail, so every line of the resume construction is
 // on trial here.
@@ -126,9 +125,8 @@ TEST(SeuOracleTest, ReplayMatchesNaiveOnGeneratedCircuits) {
   }
 }
 
-// Determinism: jobs x laneWidth sweeps must all checksum identically to the
-// single-threaded unit-lane run (and to naive).
-TEST(SeuOracleTest, DeterministicAcrossJobsAndLaneWidths) {
+// Determinism: jobs sweeps must all checksum identically to naive.
+TEST(SeuOracleTest, DeterministicAcrossJobs) {
   const RamWorkload w = ramWorkload();
   const TransientList campaign = ramCampaign(w, 5, 3);
 
@@ -138,19 +136,28 @@ TEST(SeuOracleTest, DeterministicAcrossJobsAndLaneWidths) {
       runSeuCampaign(w.ram.net, w.seq, campaign, naive).checksum();
 
   for (const unsigned jobs : {1u, 2u, 4u}) {
-    for (const std::uint32_t lanes : {1u, 8u, 32u}) {
-      CampaignOptions o;
-      o.jobs = jobs;
-      o.laneWidth = lanes;
-      const CampaignResult got = runSeuCampaign(w.ram.net, w.seq, campaign, o);
-      EXPECT_EQ(got.checksum(), want)
-          << "jobs " << jobs << " lanes " << lanes;
-    }
+    CampaignOptions o;
+    o.jobs = jobs;
+    const CampaignResult got = runSeuCampaign(w.ram.net, w.seq, campaign, o);
+    EXPECT_EQ(got.checksum(), want) << "jobs " << jobs;
   }
   // Naive mode parallelizes per injection; it must be jobs-invariant too.
   CampaignOptions n4 = naive;
   n4.jobs = 4;
   EXPECT_EQ(runSeuCampaign(w.ram.net, w.seq, campaign, n4).checksum(), want);
+}
+
+// The retired lane-sharing width fails closed in both modes instead of
+// being silently ignored.
+TEST(SeuOracleTest, LaneWidthMustBeOne) {
+  const RamWorkload w = ramWorkload();
+  const TransientList campaign = ramCampaign(w, 5, 3);
+  for (const bool naive : {false, true}) {
+    CampaignOptions o;
+    o.naive = naive;
+    o.laneWidth = 32;
+    EXPECT_THROW(runSeuCampaign(w.ram.net, w.seq, campaign, o), Error);
+  }
 }
 
 // A shared store records once; the second campaign hits the cache and still
