@@ -25,6 +25,8 @@ Engine::Engine(Network net, FaultList faults, EngineOptions options)
 
 std::unique_ptr<FaultSimulator> Engine::makeBackend() const {
   requireUnitLaneWidth("EngineOptions::laneWidth", options_.laneWidth);
+  requireNoReadAhead("EngineOptions::checkpointReadAhead",
+                     options_.checkpointReadAhead);
   switch (options_.backend) {
     case Backend::Serial: {
       SerialOptions sopts;
@@ -38,7 +40,6 @@ std::unique_ptr<FaultSimulator> Engine::makeBackend() const {
       fopts.sim = options_.sim;
       fopts.policy = options_.policy;
       fopts.dropDetected = options_.dropDetected;
-      fopts.checkpointReadAhead = options_.checkpointReadAhead;
       fopts.debugLoseTriggerEvery = options_.debugLoseTriggerEvery;
       if (options_.jobs > 1 && faults_.size() > 1) {
         return std::make_unique<ShardedRunner>(

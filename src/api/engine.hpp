@@ -103,10 +103,8 @@ struct EngineOptions {
   /// after every sharded run, so history survives process restarts. Empty
   /// disables the sidecar.
   std::string historyFile;
-  /// Opt-in async read-ahead of the next settle chunk during checkpoint
-  /// replay (forwarded to FsimOptions::checkpointReadAhead; meaningful only
-  /// when the checkpoint store spills under a budget). Bit-identical
-  /// results; costs up to one extra resident chunk per replaying engine.
+  /// Retired checkpoint read-ahead switch; must be false (construction
+  /// throws Error otherwise). Kept for source compatibility only.
   bool checkpointReadAhead = false;
   /// Forwarded to FsimOptions::debugLoseTriggerEvery (concurrent backends
   /// only): the differential-fuzzing oracle's self-test bug injector. 0 = off.

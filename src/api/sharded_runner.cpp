@@ -31,6 +31,8 @@ ShardedRunner::ShardedRunner(const Network& net, FaultList faults,
       historyFile_(std::move(historyFile)),
       faultsFp_(faultListFingerprint(faults_)) {
   requireUnitLaneWidth("FsimOptions::laneWidth", options_.laneWidth);
+  requireNoReadAhead("FsimOptions::checkpointReadAhead",
+                     options_.checkpointReadAhead);
   jobs_ = std::max(1u, std::min(jobs, std::max(1u, faults_.size())));
   if (ownsStore_) {
     CheckpointStore::Options sopts;

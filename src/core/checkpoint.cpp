@@ -111,11 +111,9 @@ std::size_t GoodMachineCheckpoint::SettleBlock::contentBytes() const {
 /// out by a reader stay valid until its next enterSettle().
 struct GoodMachineCheckpoint::SpillState {
   int fd = -1;
-  std::vector<std::uint64_t> blockOff;     ///< numChunks + 1 file offsets
-  std::vector<std::uint32_t> firstSettle;  ///< per chunk: first settle index
-  std::uint32_t settleTotal = 0;           ///< settles across flushed chunks
-  std::size_t windowBudget = 0;            ///< bytes of decoded chunks to keep
-  std::size_t maxBlockBytes = 0;           ///< largest encoded chunk seen
+  std::vector<std::uint64_t> blockOff;  ///< numChunks + 1 file offsets
+  std::size_t windowBudget = 0;         ///< bytes of decoded chunks to keep
+  std::size_t maxBlockBytes = 0;        ///< largest encoded chunk seen
 
   mutable std::mutex mu;
   struct Entry {
@@ -151,7 +149,7 @@ struct GoodMachineCheckpoint::SpillState {
     blockOff.push_back(0);
   }
 
-  void appendBlock(const std::string& encoded, std::uint32_t settleCount) {
+  void appendBlock(const std::string& encoded) {
     const std::uint64_t off = blockOff.back();
     std::size_t done = 0;
     while (done < encoded.size()) {
@@ -162,8 +160,6 @@ struct GoodMachineCheckpoint::SpillState {
       done += static_cast<std::size_t>(n);
     }
     blockOff.push_back(off + encoded.size());
-    firstSettle.push_back(settleTotal);
-    settleTotal += settleCount;
     maxBlockBytes = std::max(maxBlockBytes, encoded.size());
   }
 
@@ -269,21 +265,16 @@ GoodMachineCheckpoint GoodMachineCheckpoint::recordImpl(
   FMOSSIM_ASSERT(
       ck.settleCount_ > 0 && ck.patternEndsAtSettle(ck.settleCount_ - 1),
       "checkpoint recording lost a settle");
-  // Push-back growth leaves up to 2x slack in the resident vectors; return
-  // it so memoryBytes() reports (and the budget governs) real content.
-  ck.settles_.shrink_to_fit();
-  ck.phases_.shrink_to_fit();
-  ck.vics_.shrink_to_fit();
-  ck.members_.shrink_to_fit();
-  ck.changes_.shrink_to_fit();
-  ck.inputChanges_.shrink_to_fit();
+  // Push-back growth leaves up to 2x slack in the index vectors; return it
+  // so memoryBytes() reports (and the budget governs) real content.
+  ck.firstSettle_.shrink_to_fit();
+  ck.resident_.shrink_to_fit();
   ck.initialGoodStates_.shrink_to_fit();
   ck.perPatternGoodEvals_.shrink_to_fit();
   ck.patternEndBits_.shrink_to_fit();
   ck.outputs_.shrink_to_fit();
   if (ck.spill_ != nullptr) {
     ck.spill_->blockOff.shrink_to_fit();
-    ck.spill_->firstSettle.shrink_to_fit();
     // The replay window gets whatever the budget leaves above the fixed
     // resident floor, but always at least the largest chunk: one chunk
     // must be decodable or replay cannot proceed at all.
@@ -338,30 +329,22 @@ std::vector<State> GoodMachineCheckpoint::goodStateAfterPattern(
 }
 
 std::size_t GoodMachineCheckpoint::fixedBytes() const {
-  std::size_t n = vecBytes(settles_) + vecBytes(initialGoodStates_) +
+  std::size_t n = vecBytes(firstSettle_) + vecBytes(initialGoodStates_) +
                   vecBytes(finalGoodStates_) + vecBytes(perPatternGoodEvals_) +
                   vecBytes(patternEndBits_) + vecBytes(outputs_);
-  if (spill_ != nullptr) {
-    n += vecBytes(spill_->blockOff) + vecBytes(spill_->firstSettle);
-  }
+  if (spill_ != nullptr) n += vecBytes(spill_->blockOff);
   return n;
 }
 
 std::size_t GoodMachineCheckpoint::memoryBytes() const {
-  std::size_t n = fixedBytes() + vecBytes(phases_) + vecBytes(vics_) +
-                  vecBytes(members_) + vecBytes(changes_) +
-                  vecBytes(inputChanges_);
+  std::size_t n = fixedBytes();
   if (spill_ != nullptr) {
     std::lock_guard<std::mutex> lock(spill_->mu);
-    n += spill_->cachedBytes;
+    return n + spill_->cachedBytes;
   }
+  n += vecBytes(resident_);
+  for (const auto& block : resident_) n += block->bytes();
   return n;
-}
-
-std::uint32_t GoodMachineCheckpoint::spillChunkCount() const {
-  return spill_ == nullptr
-             ? 0
-             : static_cast<std::uint32_t>(spill_->firstSettle.size());
 }
 
 std::size_t GoodMachineCheckpoint::maxChunkBytes() const {
@@ -374,6 +357,7 @@ std::size_t GoodMachineCheckpoint::windowBudgetBytes() const {
 
 std::shared_ptr<const GoodMachineCheckpoint::SettleBlock>
 GoodMachineCheckpoint::loadBlock(std::uint32_t c) const {
+  if (spill_ == nullptr) return resident_[c];
   SpillState& sp = *spill_;
   {
     std::lock_guard<std::mutex> lock(sp.mu);
@@ -422,66 +406,28 @@ GoodMachineCheckpoint::loadBlock(std::uint32_t c) const {
 CheckpointReader::CheckpointReader(const GoodMachineCheckpoint& ck)
     : ck_(&ck) {}
 
-CheckpointReader::~CheckpointReader() {
-  // Join an in-flight prefetch: its task touches the checkpoint's window
-  // cache and must not outlive this reader's caller's view of the world.
-  if (prefetch_.valid()) prefetch_.wait();
-}
-
 void CheckpointReader::enterSettle(std::uint32_t i) {
   FMOSSIM_ASSERT(i < ck_->numSettles(), "reader settle index out of range");
-  if (ck_->spill_ == nullptr) {
-    // In-memory mode: point straight into the flat arenas (offsets inside
-    // Phase/VicinitySpan entries are global, so the bases are the arena
-    // starts).
-    const GoodMachineCheckpoint::Settle& s = ck_->settles_[i];
-    phaseCount_ = s.phaseCount;
-    inputCount_ = s.inputCount;
-    phases_ = ck_->phases_.data() + s.phaseOff;
-    vicBase_ = ck_->vics_.data();
-    memberBase_ = ck_->members_.data();
-    changeBase_ = ck_->changes_.data();
-    inputs_ = ck_->inputChanges_.data() + s.inputOff;
-    return;
-  }
-  // Spilled mode: find the chunk holding settle i, pin its decoded block
-  // (offsets are chunk-local). Consecutive settles of one chunk — the
-  // sequential replay fast path — reuse the pin without touching the
-  // window cache. On a chunk switch, release the previous pin BEFORE
-  // loading: spans into it are invalidated by this call anyway, and
-  // holding it across the load would make the window need two chunks per
-  // reader (old + new), overshooting the budget exactly when it is
-  // tightest. With the pin dropped first, the eviction pass inside
+  // Settles of the pinned chunk — the sequential replay fast path — reuse
+  // the pin (an index below pinFirst_ wraps past every chunk size). Any
+  // other settle looks its chunk up and pins it. The previous pin is
+  // released BEFORE loading: spans into it are invalidated by this call
+  // anyway, and holding it across a spilled load would make the window need
+  // two chunks per reader (old + new), overshooting the budget exactly when
+  // it is tightest. With the pin dropped first, the eviction pass inside
   // loadBlock can reclaim the previous chunk, so one chunk per reader is
   // the true floor (as documented on memoryBytes()).
-  const std::vector<std::uint32_t>& fs = ck_->spill_->firstSettle;
-  const auto c = static_cast<std::uint32_t>(
-      std::upper_bound(fs.begin(), fs.end(), i) - fs.begin() - 1);
-  if (pin_ == nullptr || chunk_ != c) {
+  std::uint32_t local = i - pinFirst_;
+  if (pin_ == nullptr || local >= pin_->settles.size()) {
+    const std::vector<std::uint32_t>& fs = ck_->firstSettle_;
+    const auto c = static_cast<std::uint32_t>(
+        std::upper_bound(fs.begin(), fs.end(), i) - fs.begin() - 1);
     pin_.reset();
-    if (prefetch_.valid()) {
-      // Collect the prefetched block either way: a hit is the new pin (the
-      // off-thread decode already inserted it into the window cache — this
-      // get() only transfers the pin); a miss (non-sequential access) must
-      // still be joined before loading, or two loads could race for the
-      // same reader's budget slot.
-      auto fetched = prefetch_.get();
-      if (readAhead_ && prefetchChunk_ == c) pin_ = std::move(fetched);
-    }
-    if (pin_ == nullptr) pin_ = ck_->loadBlock(c);
-    chunk_ = c;
-    if (readAhead_ && c + 1 < ck_->spill_->firstSettle.size()) {
-      // Kick off the next chunk's load-and-decode off-thread. loadBlock is
-      // const and internally synchronized; the returned pin keeps the
-      // prefetched chunk evictable-but-resident until the switch above
-      // claims or drops it.
-      prefetchChunk_ = c + 1;
-      prefetch_ = std::async(std::launch::async, [ck = ck_, next = c + 1] {
-        return ck->loadBlock(next);
-      });
-    }
+    pin_ = ck_->loadBlock(c);
+    pinFirst_ = fs[c];
+    local = i - pinFirst_;
   }
-  const GoodMachineCheckpoint::Settle& s = pin_->settles[i - fs[c]];
+  const GoodMachineCheckpoint::Settle& s = pin_->settles[local];
   phaseCount_ = s.phaseCount;
   inputCount_ = s.inputCount;
   phases_ = pin_->phases.data() + s.phaseOff;
@@ -495,14 +441,15 @@ void CheckpointReader::enterSettle(std::uint32_t i) {
 
 CheckpointRecorder::CheckpointRecorder(GoodMachineCheckpoint& into)
     : ck_(into) {
-  if (ck_.spill_ != nullptr) {
-    // /16: several chunks fit the window even when the budget is mostly
-    // consumed by the fixed floor; clamped so tiny budgets still amortize
-    // encode/decode and huge ones keep eviction granular.
-    chunkTarget_ = std::clamp<std::size_t>(ck_.budgetBytes_ / 16,
-                                           std::size_t{2} << 10,
-                                           std::size_t{64} << 10);
-  }
+  // /16: several chunks fit the window even when the budget is mostly
+  // consumed by the fixed floor; clamped so tiny budgets still amortize
+  // encode/decode and huge ones keep eviction granular. Resident chunks
+  // (budget 0) take the ceiling.
+  constexpr std::size_t kCeiling = std::size_t{64} << 10;
+  chunkTarget_ = ck_.spill_ == nullptr
+                     ? kCeiling
+                     : std::clamp<std::size_t>(ck_.budgetBytes_ / 16,
+                                               std::size_t{2} << 10, kCeiling);
 }
 
 void CheckpointRecorder::inputChange(NodeId n, State v) {
@@ -510,37 +457,17 @@ void CheckpointRecorder::inputChange(NodeId n, State v) {
 }
 
 void CheckpointRecorder::flushChunk() {
-  if (pending_.settles.empty()) return;
   GoodMachineCheckpoint::SettleBlock& b = pending_;
+  if (b.settles.empty()) return;
+  ck_.firstSettle_.push_back(ck_.settleCount_ -
+                             static_cast<std::uint32_t>(b.settles.size()));
   if (ck_.spill_ != nullptr) {
-    ck_.spill_->appendBlock(encodeBlock(b),
-                            static_cast<std::uint32_t>(b.settles.size()));
+    ck_.spill_->appendBlock(encodeBlock(b));
   } else {
-    // Append the chunk to the flat arenas, promoting its local offsets to
-    // global ones — byte-for-byte the layout a direct append would build.
-    const auto phaseBase = static_cast<std::uint32_t>(ck_.phases_.size());
-    const auto vicBase = static_cast<std::uint32_t>(ck_.vics_.size());
-    const auto memberBase = static_cast<std::uint32_t>(ck_.members_.size());
-    const auto changeBase = static_cast<std::uint32_t>(ck_.changes_.size());
-    const auto inputBase = static_cast<std::uint32_t>(ck_.inputChanges_.size());
-    for (GoodMachineCheckpoint::Settle s : b.settles) {
-      s.phaseOff += phaseBase;
-      s.inputOff += inputBase;
-      ck_.settles_.push_back(s);
-    }
-    for (GoodMachineCheckpoint::Phase p : b.phases) {
-      p.vicOff += vicBase;
-      p.changeOff += changeBase;
-      ck_.phases_.push_back(p);
-    }
-    for (GoodMachineCheckpoint::VicinitySpan v : b.vics) {
-      v.memberOff += memberBase;
-      ck_.vics_.push_back(v);
-    }
-    ck_.members_.insert(ck_.members_.end(), b.members.begin(), b.members.end());
-    ck_.changes_.insert(ck_.changes_.end(), b.changes.begin(), b.changes.end());
-    ck_.inputChanges_.insert(ck_.inputChanges_.end(), b.inputChanges.begin(),
-                             b.inputChanges.end());
+    // An exact-size copy, so memoryBytes() counts content; the pending
+    // buffers keep their capacity for the next chunk.
+    ck_.resident_.push_back(
+        std::make_shared<const GoodMachineCheckpoint::SettleBlock>(b));
   }
   b.settles.clear();
   b.phases.clear();
@@ -551,12 +478,9 @@ void CheckpointRecorder::flushChunk() {
 }
 
 void CheckpointRecorder::beginSettle() {
-  // In-memory mode flushes every settle (the arenas are the destination
-  // anyway); spilled mode batches settles up to the chunk byte target.
-  if (!pending_.settles.empty() &&
-      (ck_.spill_ == nullptr || pending_.contentBytes() >= chunkTarget_)) {
-    flushChunk();
-  }
+  // Chunks hold whole settles: the pending one closes at a settle boundary
+  // once it has reached the target.
+  if (pending_.contentBytes() >= chunkTarget_) flushChunk();
   const auto inputOff = static_cast<std::uint32_t>(pending_.inputChanges.size());
   const auto inputCount = static_cast<std::uint32_t>(pendingInputs_.size());
   pending_.inputChanges.insert(pending_.inputChanges.end(),

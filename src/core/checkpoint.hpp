@@ -27,35 +27,37 @@
 //
 // Per-pattern good states are not stored as full snapshots: the change trace
 // *is* the snapshot store, copy-on-write style — all patterns share the one
-// change arena and goodStateAfterPattern() materializes a snapshot by
+// change trace and goodStateAfterPattern() materializes a snapshot by
 // folding the deltas up to that pattern's last settle.
 //
-// Storage has two modes, chosen at record() time by `budgetBytes`:
+// One chunk format; chunks resident or spilled. Settles are batched, in run
+// order, into *chunks* (SettleBlock: six arrays whose offsets are local to
+// the chunk) of a few KiB to 64 KiB of trace each. `budgetBytes`, chosen at
+// record() time, only decides where the chunks live:
 //
-//   * **In-memory (budget 0).** The trace lives in flat arenas (one vector
-//     per kind, settles concatenated in run order, offsets global) — ~14 MB
-//     for RAM256's 1447 patterns.
+//   * **Resident (budget 0).** Each chunk is kept in memory as an exact-size
+//     copy, filled up to the 64 KiB chunk ceiling — ~8 MB in ~128 chunks for
+//     RAM256's 1447 patterns.
 //   * **Spilled (budget > 0).** The trace grows linearly with good-machine
-//     activity, so million-pattern sequences cannot hold it in RAM. Settles
-//     are batched into fixed-target *chunks* (a few KiB to 64 KiB of trace
-//     each) that are streamed to an unlinked temp file as they fill and
-//     replayed back through a sliding in-memory window (an LRU cache of
-//     decoded chunks) sized so that the checkpoint's resident footprint —
+//     activity, so million-pattern sequences cannot hold it in RAM. Chunks
+//     (sized from the budget) are streamed to an unlinked temp file as they
+//     fill and replayed back through a sliding in-memory window (an LRU cache
+//     of decoded chunks) sized so that the checkpoint's resident footprint —
 //     reported by memoryBytes() — stays within the budget. Chunking keeps
 //     the resident per-settle index tiny (two words per *chunk*, one bit
 //     per settle), so a million-settle recording fits comfortably under a
 //     single-digit-MiB budget; within it, eviction and re-reads are
-//     invisible: replay is bit-identical to the in-memory mode.
+//     invisible: replay is bit-identical to the resident mode.
 //
-// All replay access goes through a CheckpointReader cursor (one per
-// replaying engine); the trace itself is immutable after record() and safe
-// to share across concurrently replaying engines. CheckpointStore
+// All trace access goes through a CheckpointReader cursor (one per
+// replaying engine), which pins the chunk holding its current settle the
+// same way in both modes; the trace itself is immutable after record() and
+// safe to share across concurrently replaying engines. CheckpointStore
 // (src/core/checkpoint_store.hpp) caches recorded checkpoints across
 // engines and rows, keyed on (network identity, sequence fingerprint).
 #pragma once
 
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <span>
 #include <string>
@@ -83,18 +85,17 @@ class GoodMachineCheckpoint {
     NodeId node;
     State value;
   };
-  /// Member span of one good vicinity evaluation (into the members arena) —
-  /// what faulty-circuit trigger collection scans during replay.
+  /// Member span of one good vicinity evaluation (into its chunk's member
+  /// array) — what faulty-circuit trigger collection scans during replay.
   struct VicinitySpan {
     std::uint32_t memberOff;
     std::uint32_t memberCount;
   };
   /// One unit-delay phase of good-circuit activity. Offsets index the
-  /// vicinity/change arenas: global in the in-memory mode, chunk-local in a
-  /// spilled chunk — CheckpointReader hides the difference.
+  /// vicinity and change arrays of the chunk that holds the phase.
   struct Phase {
     std::uint32_t vicOff, vicCount;        ///< span into the vicinity table
-    std::uint32_t changeOff, changeCount;  ///< span into the change arena
+    std::uint32_t changeOff, changeCount;  ///< span into the change array
   };
   /// One settle (input setting application): its span of phases, plus the
   /// input-node changes applied immediately before it (empty for settle 0).
@@ -104,13 +105,11 @@ class GoodMachineCheckpoint {
   /// trace-driven replay need them recorded separately.
   struct Settle {
     std::uint32_t phaseOff, phaseCount;
-    std::uint32_t inputOff, inputCount;  ///< span into the input-change arena
+    std::uint32_t inputOff, inputCount;  ///< span into the input changes
   };
-  /// One chunk of consecutive settles' trace data in decodable form: what
-  /// the recorder buffers while settles run, what a spilled file block
-  /// deserializes into (offsets local to the chunk). The in-memory mode
-  /// flushes one settle per chunk into the flat arenas; the spilled mode
-  /// batches settles up to the chunk byte target before writing.
+  /// One chunk of consecutive settles' trace data, offsets local to the
+  /// chunk: what the recorder buffers while settles run, what the resident
+  /// mode keeps and what a spilled file block deserializes into.
   struct SettleBlock {
     std::vector<Settle> settles;
     std::vector<Phase> phases;
@@ -119,8 +118,8 @@ class GoodMachineCheckpoint {
     std::vector<Change> changes;
     std::vector<Change> inputChanges;
 
-    /// Heap footprint of the chunk's payload (window accounting; decoded
-    /// chunks are exact-sized so capacity == size).
+    /// Heap footprint of the chunk's payload (memory accounting; kept and
+    /// decoded chunks are exact-sized so capacity == size).
     std::size_t bytes() const;
     /// Content bytes regardless of vector slack (the recorder's flush
     /// threshold — pending buffers keep their capacity across chunks).
@@ -138,10 +137,10 @@ class GoodMachineCheckpoint {
   /// Deterministic: identical inputs produce identical checkpoints (and
   /// bit-identical replays regardless of `budgetBytes`).
   ///
-  /// `budgetBytes` > 0 spills the chunked trace to an unlinked temp file in
+  /// `budgetBytes` > 0 spills the chunks to an unlinked temp file in
   /// `spillDir` (empty = the system temp directory) as it records, keeping
-  /// memoryBytes() within the budget; 0 keeps the whole trace in RAM. See
-  /// the file comment for the budget's fixed floor.
+  /// memoryBytes() within the budget; 0 keeps every chunk resident. See
+  /// memoryBytes() for the budget's fixed floor.
   static GoodMachineCheckpoint record(const Network& net,
                                       const TestSequence& seq,
                                       const FsimOptions& options,
@@ -166,37 +165,12 @@ class GoodMachineCheckpoint {
   /// one recorded; CheckpointStore keys its cache on this.
   static std::uint64_t fingerprint(const TestSequence& seq);
 
-  // --- trace accessors (in-memory mode only) ---------------------------------
-  //
-  // Replay must go through a CheckpointReader, which works in both storage
-  // modes; these direct accessors exist for tests and tools that inspect an
-  // in-memory trace and assert !spilled().
-
   /// Number of recorded settles (1 + total input settings of the sequence).
+  /// The settles themselves are read through a CheckpointReader.
   std::uint32_t numSettles() const { return settleCount_; }
-  /// The i-th settle's phase span. In-memory mode only.
-  const Settle& settle(std::uint32_t i) const { return settles_[i]; }
-  /// Phase by global index (settle.phaseOff + k). In-memory mode only.
-  const Phase& phase(std::uint32_t i) const { return phases_[i]; }
-  /// The vicinities the good circuit evaluated in a phase, in evaluation
-  /// order (replay must preserve it: faulty-circuit seed order depends on
-  /// it). In-memory mode only.
-  std::span<const VicinitySpan> vicinities(const Phase& p) const {
-    return {vics_.data() + p.vicOff, p.vicCount};
-  }
-  /// Member nodes of one recorded vicinity. In-memory mode only.
-  std::span<const NodeId> members(const VicinitySpan& v) const {
-    return {members_.data() + v.memberOff, v.memberCount};
-  }
-  /// The state changes the good circuit committed in a phase. In-memory
-  /// mode only.
-  std::span<const Change> changes(const Phase& p) const {
-    return {changes_.data() + p.changeOff, p.changeCount};
-  }
-  /// The input-node changes applied just before a settle. In-memory mode
-  /// only.
-  std::span<const Change> inputChanges(const Settle& s) const {
-    return {inputChanges_.data() + s.inputOff, s.inputCount};
+  /// Number of chunks the settles are batched into, in either storage mode.
+  std::uint32_t numChunks() const {
+    return static_cast<std::uint32_t>(firstSettle_.size());
   }
 
   // --- whole-run data --------------------------------------------------------
@@ -250,24 +224,24 @@ class GoodMachineCheckpoint {
   /// at settle settleEndingPattern(p) + 1. Works in both storage modes.
   std::uint32_t settleEndingPattern(std::uint64_t p) const;
 
-  /// True when the chunked trace lives in the temp-file backing store and
-  /// replays through the sliding window.
+  /// True when the chunks live in the temp-file backing store and replay
+  /// through the sliding window.
   bool spilled() const { return spill_ != nullptr; }
   /// The record-time memory budget (0 = unbounded).
   std::size_t budgetBytes() const { return budgetBytes_; }
 
   // --- spill diagnostics (0 when not spilled) --------------------------------
 
-  /// Number of chunks in the backing file.
-  std::uint32_t spillChunkCount() const;
+  /// Number of chunks in the backing file (numChunks() when spilled).
+  std::uint32_t spillChunkCount() const { return spilled() ? numChunks() : 0; }
   /// Largest encoded chunk (the window's hard floor: one chunk must always
   /// be decodable).
   std::size_t maxChunkBytes() const;
   /// Bytes of decoded chunks the sliding window may keep resident.
   std::size_t windowBudgetBytes() const;
 
-  /// Resident heap footprint in bytes: the whole trace in in-memory mode;
-  /// the fixed per-chunk/per-pattern index plus the current window of
+  /// Resident heap footprint in bytes: the fixed per-chunk/per-pattern index
+  /// plus every chunk in resident mode, or plus the current window of
   /// decoded chunks in spilled mode. The budget enforcement hook — stays
   /// <= budgetBytes() whenever the budget exceeds the fixed floor plus one
   /// chunk per concurrently replaying engine.
@@ -287,19 +261,16 @@ class GoodMachineCheckpoint {
                                           bool keepPerPatternEvals);
 
   std::size_t fixedBytes() const;
-  /// Loads chunk `c` through the window cache (spilled mode).
+  /// Chunk `c`: the resident copy, or (spilled mode) loaded through the
+  /// window cache.
   std::shared_ptr<const SettleBlock> loadBlock(std::uint32_t c) const;
 
-  std::uint32_t settleCount_ = 0;  ///< total settles, both modes
-  // In-memory mode: the flat trace arenas (settles concatenated in run
-  // order; offsets global). Empty in spilled mode — there the trace lives
-  // in the backing file, indexed per chunk by SpillState.
-  std::vector<Settle> settles_;
-  std::vector<Phase> phases_;
-  std::vector<VicinitySpan> vics_;
-  std::vector<NodeId> members_;
-  std::vector<Change> changes_;
-  std::vector<Change> inputChanges_;
+  std::uint32_t settleCount_ = 0;
+  /// Per chunk: the index of its first settle (both modes).
+  std::vector<std::uint32_t> firstSettle_;
+  /// Resident mode: the chunks, in run order. Empty in spilled mode — there
+  /// they live in the backing file, indexed by SpillState.
+  std::vector<std::shared_ptr<const SettleBlock>> resident_;
 
   std::vector<State> initialGoodStates_;  ///< after the initial all-X settle
   std::vector<State> finalGoodStates_;
@@ -318,33 +289,20 @@ class GoodMachineCheckpoint {
   std::unique_ptr<SpillState> spill_;  ///< non-null in spilled mode
 };
 
-/// Forward-only replay cursor over a checkpoint's trace — the one access
-/// path that works in both storage modes. Each replaying engine owns one;
-/// in spilled mode the cursor pins its current settle's decoded chunk
-/// (keeping returned spans valid until the next enterSettle) and the shared
-/// window cache behind it slides forward with the replay. Consecutive
-/// settles of one chunk reuse the pin without touching the cache.
+/// Replay cursor over a checkpoint's trace — the one access path, the same
+/// in both storage modes. Each replaying engine owns one. The cursor pins
+/// the chunk holding its current settle (keeping returned spans valid until
+/// the next enterSettle); in spilled mode the shared window cache behind it
+/// slides forward with the replay. Consecutive settles of one chunk reuse
+/// the pin without looking the chunk up again.
 class CheckpointReader {
  public:
   /// Binds to `ck` (must outlive the reader) without loading anything.
   explicit CheckpointReader(const GoodMachineCheckpoint& ck);
-  ~CheckpointReader();
 
   /// Positions the cursor on settle `i` (asserted in range). Sequential
   /// forward access is the fast path; any order is correct.
   void enterSettle(std::uint32_t i);
-
-  /// Opt-in asynchronous read-ahead (spilled checkpoints only; a no-op
-  /// otherwise): after each chunk switch the reader kicks off an off-thread
-  /// load-and-decode of the *next* chunk, so a sequential replay finds its
-  /// next block already decoded instead of blocking on pread + decode under
-  /// the replay's critical path. Hand-off goes through the existing window
-  /// cache synchronization (loadBlock), so concurrent readers stay safe.
-  /// Costs up to one extra resident chunk per reader while a prefetch is in
-  /// flight — default readers keep the documented one-chunk-per-reader
-  /// floor, which is why this is opt-in (FsimOptions::checkpointReadAhead).
-  /// Results are bit-identical either way.
-  void enableReadAhead() { readAhead_ = true; }
 
   /// Number of phases of the current settle.
   std::uint32_t phaseCount() const { return phaseCount_; }
@@ -372,15 +330,9 @@ class CheckpointReader {
 
  private:
   const GoodMachineCheckpoint* ck_;
-  /// Pin on the current chunk (spilled mode only) and its index.
+  /// Pin on the current chunk and the index of its first settle.
   std::shared_ptr<const GoodMachineCheckpoint::SettleBlock> pin_;
-  std::uint32_t chunk_ = 0;
-  /// Read-ahead state (see enableReadAhead): the in-flight prefetch of
-  /// chunk `prefetchChunk_`, joined on chunk switch or in the destructor.
-  bool readAhead_ = false;
-  std::future<std::shared_ptr<const GoodMachineCheckpoint::SettleBlock>>
-      prefetch_;
-  std::uint32_t prefetchChunk_ = 0;
+  std::uint32_t pinFirst_ = 0;
   const GoodMachineCheckpoint::Phase* phases_ = nullptr;
   const GoodMachineCheckpoint::VicinitySpan* vicBase_ = nullptr;
   const NodeId* memberBase_ = nullptr;
@@ -391,9 +343,9 @@ class CheckpointReader {
 };
 
 /// Recording sink the concurrent engine drives during a checkpoint-recording
-/// run. Buffers settles into the pending chunk; a filled chunk is appended
-/// to the in-memory arenas (every settle) or streamed to the spill file
-/// (when the chunk byte target is reached). One beginSettle() per
+/// run. Buffers settles into the pending chunk; once it reaches the chunk
+/// byte target the chunk is kept as an exact-size copy (resident mode) or
+/// streamed to the spill file. One beginSettle() per
 /// settleAll(), one beginPhase() per unit-delay phase, then the phase's good
 /// vicinities and commits in engine order; endPattern() after each observed
 /// pattern; finish() flushes the last chunk.
@@ -427,9 +379,10 @@ class CheckpointRecorder {
   GoodMachineCheckpoint::SettleBlock pending_;
   /// Input changes seen since the last beginSettle (owned by the next one).
   std::vector<GoodMachineCheckpoint::Change> pendingInputs_;
-  /// Spilled mode: flush the pending chunk once it holds this many content
-  /// bytes (small enough that the sliding window can hold several chunks
-  /// under tight budgets, large enough to amortize encode/decode).
+  /// Flush the pending chunk once it holds this many content bytes: the
+  /// 64 KiB ceiling in resident mode; in spilled mode small enough that the
+  /// sliding window can hold several chunks under tight budgets, large
+  /// enough to amortize encode/decode.
   std::size_t chunkTarget_ = 0;
 };
 

@@ -121,6 +121,8 @@ ConcurrentFaultSimulator::ConcurrentFaultSimulator(
       solver_(net.domain()),
       triggerStamp_(numMachines + 1, 0) {
   requireUnitLaneWidth("FsimOptions::laneWidth", options_.laneWidth);
+  requireNoReadAhead("FsimOptions::checkpointReadAhead",
+                     options_.checkpointReadAhead);
   FMOSSIM_ASSERT(record_ == nullptr || replay_ == nullptr,
                  "an engine cannot record and replay a checkpoint at once");
   FMOSSIM_ASSERT(record_ == nullptr || faults_.empty(),
@@ -131,7 +133,6 @@ ConcurrentFaultSimulator::ConcurrentFaultSimulator(
                  "machine count must match the fault list");
   if (replay_ != nullptr) {
     replayReader_ = std::make_unique<CheckpointReader>(*replay_);
-    if (options_.checkpointReadAhead) replayReader_->enableReadAhead();
   }
   if (transientMode_ && replay_ != nullptr) {
     // Tail resume: materialize the good machine right after the injection

@@ -82,12 +82,8 @@ struct FsimOptions {
   /// throws Error otherwise). Every faulty circuit is evaluated alone, as in
   /// the paper; the field stays for source compatibility.
   std::uint32_t laneWidth = 1;
-  /// Opt-in asynchronous read-ahead during checkpoint replay (spilled
-  /// checkpoints only): the replay reader prefetches and decodes the next
-  /// settle chunk off-thread while the engine consumes the current one
-  /// (CheckpointReader::enableReadAhead), so budgeted replays stop blocking
-  /// on synchronous decode at every chunk switch. Costs up to one extra
-  /// resident chunk per replaying engine; results are bit-identical.
+  /// Retired checkpoint read-ahead switch; must be false (the constructor
+  /// throws Error otherwise). Kept for source compatibility only.
   bool checkpointReadAhead = false;
 };
 

@@ -52,18 +52,6 @@ constexpr std::uint64_t splat2(State v) {
   return kEvenBits * static_cast<std::uint64_t>(v);
 }
 
-/// Compresses the even bits of x (bit 2l) down to a 32-bit mask (bit l) —
-/// the inverse Morton shuffle.
-constexpr std::uint32_t compressEven(std::uint64_t x) {
-  x &= 0x5555555555555555ull;
-  x = (x | (x >> 1)) & 0x3333333333333333ull;
-  x = (x | (x >> 2)) & 0x0F0F0F0F0F0F0F0Full;
-  x = (x | (x >> 4)) & 0x00FF00FF00FF00FFull;
-  x = (x | (x >> 8)) & 0x0000FFFF0000FFFFull;
-  x = (x | (x >> 16)) & 0x00000000FFFFFFFFull;
-  return static_cast<std::uint32_t>(x);
-}
-
 /// Spreads a 32-bit lane mask (bit l) to a full 2-bit field mask (bits 2l
 /// and 2l+1) — the Morton shuffle, then both bits of each selected lane.
 constexpr std::uint64_t spread2(std::uint32_t mask) {
@@ -74,14 +62,6 @@ constexpr std::uint64_t spread2(std::uint32_t mask) {
   x = (x | (x << 2)) & 0x3333333333333333ull;
   x = (x | (x << 1)) & 0x5555555555555555ull;
   return x * 3;  // even bits only: *3 == x | (x << 1), carry-free
-}
-
-/// Lanes whose 2-bit field in `bits` equals state v, over all 32 lanes
-/// (callers mask with the divergence mask — undiverged lanes hold stale
-/// bits).
-constexpr std::uint32_t eqLanes(std::uint64_t bits, State v) {
-  const std::uint64_t x = bits ^ splat2(v);
-  return ~compressEven((x | (x >> 1)) & kEvenBits);
 }
 
 /// Extracts the 2-bit state of one lane.

@@ -12,6 +12,13 @@ void requireUnitLaneWidth(const char* field, std::uint32_t laneWidth) {
   }
 }
 
+void requireNoReadAhead(const char* field, bool readAhead) {
+  if (readAhead) {
+    throw Error(std::string(field) + " must be false: checkpoint read-ahead "
+                "was removed");
+  }
+}
+
 namespace detail {
 
 void assertFailed(const char* expr, const char* file, int line,

@@ -26,6 +26,11 @@ class Error : public std::runtime_error {
 /// silently ignored.
 void requireUnitLaneWidth(const char* field, std::uint32_t laneWidth);
 
+/// The retired checkpoint read-ahead fields (FsimOptions, EngineOptions)
+/// stay for source compatibility but accept only false: throws Error naming
+/// `field` when set.
+void requireNoReadAhead(const char* field, bool readAhead);
+
 namespace detail {
 [[noreturn]] void assertFailed(const char* expr, const char* file, int line,
                                const char* msg);

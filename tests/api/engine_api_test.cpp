@@ -204,6 +204,42 @@ TEST(EngineApiTest, LaneWidthMustBeOne) {
       Error);
 }
 
+// Checkpoint read-ahead was removed: the retained switches accept only
+// false and fail closed with an error naming the field, on every backend
+// and on a directly built sharded runner.
+TEST(EngineApiTest, CheckpointReadAheadMustBeFalse) {
+  const ShiftRegister sr = buildShiftRegister(1);
+  const FaultList faults = shiftFaults(sr);
+  for (const Backend backend : {Backend::Serial, Backend::Concurrent}) {
+    for (const unsigned jobs : {1u, 4u}) {
+      EngineOptions opts;
+      opts.backend = backend;
+      opts.jobs = jobs;
+      opts.checkpointReadAhead = true;
+      try {
+        Engine engine(sr.net, faults, opts);
+        ADD_FAILURE() << "no error for backend " << static_cast<int>(backend)
+                      << " jobs=" << jobs;
+      } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "EngineOptions::checkpointReadAhead"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  FsimOptions fopts;
+  fopts.checkpointReadAhead = true;
+  try {
+    ShardedRunner runner(sr.net, faults, fopts, 4);
+    ADD_FAILURE() << "no error from ShardedRunner";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("FsimOptions::checkpointReadAhead"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(EngineApiTest, BackendNamesAndAccessors) {
   const ShiftRegister sr = buildShiftRegister(1);
   const FaultList faults = shiftFaults(sr);

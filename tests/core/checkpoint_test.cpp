@@ -68,8 +68,18 @@ TEST(CheckpointTest, SettleCountMatchesSequenceStructure) {
   // One settle per input setting plus the initial all-X evaluation.
   EXPECT_EQ(ck.numSettles(), 1u + w.seq.totalSettings());
   EXPECT_EQ(ck.numPatterns(), w.seq.size());
-  // The initial settle must contain activity (the whole network evaluates).
-  EXPECT_GT(ck.settle(0).phaseCount, 0u);
+  // The initial settle must contain activity (the whole network evaluates);
+  // an input settle carries the input changes applied before it.
+  CheckpointReader reader(ck);
+  reader.enterSettle(0);
+  EXPECT_GT(reader.phaseCount(), 0u);
+  EXPECT_TRUE(reader.inputChanges().empty());
+  std::uint32_t inputChanges = 0;
+  for (std::uint32_t si = 1; si < ck.numSettles(); ++si) {
+    reader.enterSettle(si);
+    inputChanges += static_cast<std::uint32_t>(reader.inputChanges().size());
+  }
+  EXPECT_GT(inputChanges, 0u);
 }
 
 // Replay with the full fault list in one engine must reproduce the

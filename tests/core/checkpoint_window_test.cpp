@@ -1,9 +1,14 @@
 // Sliding-window eviction boundaries of the spilled checkpoint store:
 // a window budget exactly at a chunk edge, the single-chunk floor, and
 // re-pinning a chunk after the window evicted it. Each case must replay
-// content-identically to an unbounded in-memory recording — eviction is
-// purely a residency concern, never a correctness one.
+// content-identically to a resident (budget 0) recording read through the
+// same CheckpointReader — resident chunks are kept as recorded, spilled ones
+// go through encode/decode and eviction, which is purely a residency
+// concern, never a correctness one.
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <vector>
 
 #include "core/checkpoint.hpp"
 #include "core/concurrent_sim.hpp"
@@ -22,44 +27,31 @@ GeneratedWorkload windowWorkload() {
   return generateWorkload(gen);
 }
 
-/// Compares every settle a reader over `spilled` yields against the direct
-/// in-memory accessors of `mem` — the full trace content, not just results.
-void expectSameSettle(const GoodMachineCheckpoint& mem, CheckpointReader& rd,
-                      std::uint32_t si) {
-  const GoodMachineCheckpoint::Settle& s = mem.settle(si);
+/// Settle `si`'s full trace content as a reader yields it, flattened into
+/// one word list: phase count, input changes, then per phase each
+/// vicinity's members and the committed changes (each list count-prefixed).
+std::vector<std::uint32_t> settleContent(CheckpointReader& rd,
+                                         std::uint32_t si) {
   rd.enterSettle(si);
-  ASSERT_EQ(rd.phaseCount(), s.phaseCount) << "settle " << si;
-
-  const auto inputs = rd.inputChanges();
-  const auto wantInputs = mem.inputChanges(s);
-  ASSERT_EQ(inputs.size(), wantInputs.size()) << "settle " << si;
-  for (std::size_t i = 0; i < wantInputs.size(); ++i) {
-    EXPECT_EQ(inputs[i].node, wantInputs[i].node);
-    EXPECT_EQ(inputs[i].value, wantInputs[i].value);
-  }
-
-  for (std::uint32_t k = 0; k < s.phaseCount; ++k) {
-    const GoodMachineCheckpoint::Phase& p = mem.phase(s.phaseOff + k);
+  std::vector<std::uint32_t> out{rd.phaseCount()};
+  const auto addChanges = [&out](const auto& changes) {
+    out.push_back(static_cast<std::uint32_t>(changes.size()));
+    for (const GoodMachineCheckpoint::Change& ch : changes) {
+      out.push_back(ch.node.value);
+      out.push_back(static_cast<std::uint32_t>(ch.value));
+    }
+  };
+  addChanges(rd.inputChanges());
+  for (std::uint32_t k = 0; k < rd.phaseCount(); ++k) {
     const auto vics = rd.vicinities(k);
-    const auto wantVics = mem.vicinities(p);
-    ASSERT_EQ(vics.size(), wantVics.size())
-        << "settle " << si << " phase " << k;
-    for (std::size_t v = 0; v < wantVics.size(); ++v) {
-      const auto members = rd.members(vics[v]);
-      const auto wantMembers = mem.members(wantVics[v]);
-      ASSERT_EQ(std::vector<NodeId>(members.begin(), members.end()),
-                std::vector<NodeId>(wantMembers.begin(), wantMembers.end()))
-          << "settle " << si << " phase " << k << " vicinity " << v;
+    out.push_back(static_cast<std::uint32_t>(vics.size()));
+    for (const GoodMachineCheckpoint::VicinitySpan& v : vics) {
+      out.push_back(v.memberCount);
+      for (const NodeId n : rd.members(v)) out.push_back(n.value);
     }
-    const auto changes = rd.changes(k);
-    const auto wantChanges = mem.changes(p);
-    ASSERT_EQ(changes.size(), wantChanges.size())
-        << "settle " << si << " phase " << k;
-    for (std::size_t c = 0; c < wantChanges.size(); ++c) {
-      EXPECT_EQ(changes[c].node, wantChanges[c].node);
-      EXPECT_EQ(changes[c].value, wantChanges[c].value);
-    }
+    addChanges(rd.changes(k));
   }
+  return out;
 }
 
 struct WindowFixture : ::testing::Test {
@@ -67,6 +59,13 @@ struct WindowFixture : ::testing::Test {
     w = windowWorkload();
     mem = GoodMachineCheckpoint::record(w.net, w.seq, opts);
     ASSERT_FALSE(mem.spilled());
+    ref = std::make_unique<CheckpointReader>(mem);
+  }
+
+  /// Asserts `rd` yields settle `si` exactly as the resident recording does.
+  void expectSameSettle(CheckpointReader& rd, std::uint32_t si) {
+    ASSERT_EQ(settleContent(rd, si), settleContent(*ref, si))
+        << "settle " << si;
   }
 
   /// Records with `budget` and asserts the spill path engaged with the same
@@ -87,6 +86,7 @@ struct WindowFixture : ::testing::Test {
   GeneratedWorkload w;
   FsimOptions opts;
   GoodMachineCheckpoint mem;
+  std::unique_ptr<CheckpointReader> ref;  ///< over `mem`
 };
 
 // Budget below the window floor: the window is clamped to exactly one
@@ -97,7 +97,7 @@ TEST_F(WindowFixture, SingleChunkWindowYieldsFullTrace) {
   EXPECT_EQ(ck.windowBudgetBytes(), ck.maxChunkBytes());
   CheckpointReader rd(ck);
   for (std::uint32_t si = 0; si < mem.numSettles(); ++si) {
-    expectSameSettle(mem, rd, si);
+    expectSameSettle(rd, si);
   }
 }
 
@@ -170,18 +170,37 @@ TEST_F(WindowFixture, RePinAfterEvictionReloadsIdenticalContent) {
   CheckpointReader rd(ck);
   const std::uint32_t last = mem.numSettles() - 1;
   for (int round = 0; round < 2; ++round) {
-    expectSameSettle(mem, rd, 0);
-    expectSameSettle(mem, rd, mem.numSettles() / 2);
-    expectSameSettle(mem, rd, last);
+    expectSameSettle(rd, 0);
+    expectSameSettle(rd, mem.numSettles() / 2);
+    expectSameSettle(rd, last);
   }
   // Two concurrent readers at opposite ends of the file keep forcing each
   // other's chunks out of a one-chunk window; both must stay correct.
   CheckpointReader a(ck), b(ck);
   for (int round = 0; round < 2; ++round) {
-    expectSameSettle(mem, a, 0);
-    expectSameSettle(mem, b, last);
-    expectSameSettle(mem, a, 1);
-    expectSameSettle(mem, b, last - 1);
+    expectSameSettle(a, 0);
+    expectSameSettle(b, last);
+    expectSameSettle(a, 1);
+    expectSameSettle(b, last - 1);
+  }
+}
+
+// The resident recording is chunked too (chunks up to 64 KiB, none spilled):
+// a reader walking its settles backward across chunk boundaries, then
+// forward again, yields exactly what one forward walk does.
+TEST_F(WindowFixture, ResidentChunksReadInAnyOrder) {
+  ASSERT_GT(mem.numChunks(), 1u) << "workload too small to span chunks";
+  EXPECT_EQ(mem.spillChunkCount(), 0u);
+  std::vector<std::vector<std::uint32_t>> forward;
+  for (std::uint32_t si = 0; si < mem.numSettles(); ++si) {
+    forward.push_back(settleContent(*ref, si));
+  }
+  CheckpointReader rd(mem);
+  for (std::uint32_t si = mem.numSettles(); si-- > 0;) {
+    ASSERT_EQ(settleContent(rd, si), forward[si]) << "backward, settle " << si;
+  }
+  for (std::uint32_t si = 0; si < mem.numSettles(); ++si) {
+    ASSERT_EQ(settleContent(rd, si), forward[si]) << "forward, settle " << si;
   }
 }
 

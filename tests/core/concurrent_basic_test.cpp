@@ -71,6 +71,24 @@ TEST(ConcurrentBasicTest, LaneWidthMustBeOne) {
   EXPECT_NO_THROW(ConcurrentFaultSimulator(f.net, faults, FsimOptions{}));
 }
 
+// Checkpoint read-ahead was removed: the retained switch accepts only false
+// and fails closed with an error naming the field.
+TEST(ConcurrentBasicTest, CheckpointReadAheadMustBeFalse) {
+  InvChain f;
+  FaultList faults;
+  faults.add(Fault::nodeStuckAt(f.net, f.mid, State::S0));
+  FsimOptions opts;
+  opts.checkpointReadAhead = true;
+  try {
+    ConcurrentFaultSimulator sim(f.net, faults, opts);
+    ADD_FAILURE() << "no error for checkpointReadAhead = true";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("FsimOptions::checkpointReadAhead"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ConcurrentBasicTest, StuckNodeCreatesDivergenceDownstream) {
   InvChain f;
   FaultList faults;

@@ -128,13 +128,10 @@ TEST(StateTableTest, LookupReportsDivergenceOnlyWhenRecorded) {
 // (commitLanes) to a straightforward per-circuit reference.
 
 TEST(StateTableLanesTest, SwarHelpersRoundTrip) {
-  // spread2/compressEven are inverse Morton shuffles.
+  // spread2 sets both bits of lane l iff mask bit l is set, no others.
   for (const std::uint32_t mask :
        {0u, 1u, 0x80000000u, 0xAAAAAAAAu, 0x12345678u, 0xFFFFFFFFu}) {
     const std::uint64_t field = lanes::spread2(mask);
-    EXPECT_EQ(lanes::compressEven(field), mask);
-    // Both bits of every selected lane are set, no others.
-    EXPECT_EQ(field & ~(lanes::spread2(mask)), 0u);
     for (std::uint32_t l = 0; l < lanes::kLaneCount; ++l) {
       const std::uint64_t lane = (field >> (2 * l)) & 3u;
       EXPECT_EQ(lane, ((mask >> l) & 1u) ? 3u : 0u);
@@ -145,23 +142,6 @@ TEST(StateTableLanesTest, SwarHelpersRoundTrip) {
     const std::uint64_t bits = lanes::splat2(v);
     for (std::uint32_t l = 0; l < lanes::kLaneCount; ++l) {
       EXPECT_EQ(lanes::laneState(bits, l), v);
-    }
-  }
-}
-
-TEST(StateTableLanesTest, EqLanesMatchesPerLaneComparison) {
-  Rng rng(123);
-  for (int trial = 0; trial < 200; ++trial) {
-    std::uint64_t bits = 0;
-    for (std::uint32_t l = 0; l < lanes::kLaneCount; ++l) {
-      bits |= static_cast<std::uint64_t>(rng.below(3)) << (2 * l);
-    }
-    for (const State v : {State::S0, State::S1, State::SX}) {
-      const std::uint32_t got = lanes::eqLanes(bits, v);
-      for (std::uint32_t l = 0; l < lanes::kLaneCount; ++l) {
-        const bool expect = lanes::laneState(bits, l) == v;
-        EXPECT_EQ(((got >> l) & 1u) != 0, expect) << "lane " << l;
-      }
     }
   }
 }
