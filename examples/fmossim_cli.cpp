@@ -603,11 +603,14 @@ int runFuzz(const Cli& cli) {
           switchFlag("--quiet", quiet, "print only divergences and the summary"),
       },
       "Each divergence prints a minimized reproducer and the command that "
-      "replays it\nfrom its seed alone. Exit 1 on any divergence.\n"};
+      "replays it\nfrom its seed alone. Exit 1 on any divergence. The summary "
+      "also counts the\nseeds whose serial reference detected a fault with "
+      "drop on (only those\nexercise fault dropping).\n"};
   if (const auto exit = parseFlags(cli, table)) return *exit;
 
   std::uint32_t failures = 0;
   std::uint64_t totalRuns = 0;
+  std::uint32_t droppedSeeds = 0;  // seeds that detected with drop on
   // Iterate by offset so a huge --seed cannot wrap the end bound into a
   // zero-iteration campaign that falsely exits 0.
   for (std::uint32_t k = 0; k < numSeeds; ++k) {
@@ -633,6 +636,7 @@ int runFuzz(const Cli& cli) {
     DiffOracle diff(oracle);
     const OracleReport rep = diff.check(w);
     totalRuns += rep.checkRuns;
+    if (rep.dropDetected && rep.referenceDetected > 0) ++droppedSeeds;
     if (!rep.ok) {
       ++failures;
       // The reproduce command must carry every knob that shaped this run:
@@ -655,8 +659,11 @@ int runFuzz(const Cli& cli) {
                   failures);
     }
   }
-  std::printf("fuzz: %u seed(s), %u divergence(s), %llu comparison run(s)\n",
-              numSeeds, failures, static_cast<unsigned long long>(totalRuns));
+  std::printf(
+      "fuzz: %u seed(s), %u divergence(s), %llu comparison run(s), %u reached "
+      "detection with drop on\n",
+      numSeeds, failures, static_cast<unsigned long long>(totalRuns),
+      droppedSeeds);
   return failures == 0 ? 0 : 1;
 }
 

@@ -106,8 +106,6 @@ ConcurrentFaultSimulator::ConcurrentFaultSimulator(
       transOverride_(net.numTransistors()),
       alive_(numMachines + 1, 0),
       detectedAt_(numMachines, -1),
-      touched_(numMachines + 1),
-      touchedCap_(numMachines + 1, 16),
       watchCount_(net.numNodes(), 0),
       divCount_(net.numNodes(), 0),
       goodSeedStamp_(net.numNodes(), 0),
@@ -509,7 +507,6 @@ void ConcurrentFaultSimulator::processFaultyCircuit(CircuitId c, bool coerce) {
   for (const auto& [n, v] : faultyResults_) {
     const StateTable::Reconciled rec = table_.reconcile(n, c, v);
     if (rec.inserted) {
-      touchedInsert(c, n);
       addRecordWatch(n, +1);
       ++divCount_[n.value];
     } else if (rec.erased) {
@@ -554,43 +551,26 @@ std::uint32_t ConcurrentFaultSimulator::observe(
     for (const Override& o : nodeStuck_[out.value]) consider(o.circuit, o.value);
     table_.forEachRecord(out, [&](CircuitId rc, State rv) { consider(rc, rv); });
   }
-  if (options_.dropDetected) {
-    for (const CircuitId c : dropQueue_) dropCircuit(c);
-  }
-  return newly;
-}
-
-void ConcurrentFaultSimulator::touchedInsert(CircuitId c, NodeId n) {
-  touched_[c].push_back(n);
-  if (touched_[c].size() >= touchedCap_[c]) compactTouched(c);
-}
-
-void ConcurrentFaultSimulator::compactTouched(CircuitId c) {
-  auto& v = touched_[c];
-  std::sort(v.begin(), v.end(),
-            [](NodeId a, NodeId b) { return a.value < b.value; });
-  v.erase(std::unique(v.begin(), v.end()), v.end());
-  std::erase_if(v, [&](NodeId n) { return !table_.hasRecord(n, c); });
-  touchedCap_[c] =
-      std::max<std::uint32_t>(16, 2 * static_cast<std::uint32_t>(v.size()));
-}
-
-void ConcurrentFaultSimulator::dropCircuit(CircuitId c) {
-  if (!alive_[c]) return;
-  alive_[c] = 0;
-  --aliveCount_;
-  for (const NodeId n : touched_[c]) {
-    // touched_ may hold duplicates (re-divergence after convergence); only a
-    // real erase decrements the watch counts.
-    if (table_.erase(n, c)) {
-      addRecordWatch(n, -1);
-      --divCount_[n.value];
+  if (options_.dropDetected && !dropQueue_.empty()) {
+    for (const CircuitId c : dropQueue_) {
+      alive_[c] = 0;
+      --aliveCount_;
+      faultySeeds_[c].clear();
+      removeOverlay(c);
+    }
+    // One sweep erases every dropped circuit's records (dead circuits hold
+    // none otherwise) and takes them out of the watch and divergence counts.
+    for (std::uint32_t i = 0; i < net_.numNodes(); ++i) {
+      if (divCount_[i] == 0) continue;
+      const NodeId n(i);
+      const std::uint32_t removed =
+          table_.eraseIf(n, [&](CircuitId rc) { return alive_[rc] == 0; });
+      if (removed == 0) continue;
+      addRecordWatch(n, -static_cast<std::int32_t>(removed));
+      divCount_[i] -= removed;
     }
   }
-  touched_[c].clear();
-  touched_[c].shrink_to_fit();
-  faultySeeds_[c].clear();
-  removeOverlay(c);
+  return newly;
 }
 
 void ConcurrentFaultSimulator::removeOverlay(CircuitId c) {
@@ -1053,7 +1033,6 @@ void ConcurrentFaultSimulator::injectTransientFlip(CircuitId c) {
     if (flipped == good) return;
     const StateTable::Reconciled rec = table_.reconcile(m.node, c, flipped);
     if (rec.inserted) {
-      touchedInsert(c, m.node);
       addRecordWatch(m.node, +1);
       ++divCount_[m.node.value];
     }
@@ -1096,7 +1075,6 @@ void ConcurrentFaultSimulator::releaseTransientPulse(CircuitId c) {
     const StateTable::Reconciled rec =
         table_.reconcile(m.node, c, m.forcedValue);
     if (rec.inserted) {
-      touchedInsert(c, m.node);
       addRecordWatch(m.node, +1);
       ++divCount_[m.node.value];
     }
@@ -1104,16 +1082,23 @@ void ConcurrentFaultSimulator::releaseTransientPulse(CircuitId c) {
   scheduleTransientSite(c, m.node);
 }
 
-bool ConcurrentFaultSimulator::hasDivergence(CircuitId c) const {
-  FMOSSIM_ASSERT(transientMode_, "hasDivergence is a transient-mode query");
-  FMOSSIM_ASSERT(c >= 1 && c <= numMachines_, "hasDivergence: bad circuit id");
-  const TransientMachine& m = transient_[c - 1];
-  if (m.pulseActive && m.forcedValue != table_.good(m.node)) return true;
-  for (const NodeId n : touched_[c]) {
-    const StateTable::Lookup r = table_.lookup(n, c);
-    if (r.diverges && r.value != table_.good(n)) return true;
+std::vector<bool> ConcurrentFaultSimulator::divergentMachines() const {
+  FMOSSIM_ASSERT(transientMode_, "divergentMachines is a transient-mode query");
+  std::vector<bool> divergent(numMachines_, false);
+  for (std::uint32_t i = 0; i < numMachines_; ++i) {
+    const TransientMachine& m = transient_[i];
+    if (m.pulseActive && m.forcedValue != table_.good(m.node)) {
+      divergent[i] = true;
+    }
   }
-  return false;
+  for (std::uint32_t i = 0; i < net_.numNodes(); ++i) {
+    const NodeId n(i);
+    const State g = table_.good(n);
+    table_.forEachRecord(n, [&](CircuitId c, State s) {
+      if (s != g) divergent[c - 1] = true;
+    });
+  }
+  return divergent;
 }
 
 FaultSimResult ConcurrentFaultSimulator::runTransient(

@@ -244,7 +244,7 @@ class ConcurrentFaultSimulator {
   // Both are the same loop with no rows: machine i+1 is flipped per specs[i]
   // at its injection boundary (specs.size() must equal the machine count).
   // Classification per machine: detectedAtPattern(i) >= 0 is detected; else
-  // hasDivergence(i+1) is latent; else silent.
+  // divergentMachines()[i] is latent; else silent.
 
   /// Naive run: self-simulates the whole sequence from scratch (instants
   /// may differ per machine).
@@ -257,10 +257,12 @@ class ConcurrentFaultSimulator {
   /// same specs over the recorded sequence.
   FaultSimResult runTransientTail(std::span<const TransientFault> specs);
 
-  /// True when circuit c's state currently differs from the good circuit
-  /// anywhere — records or an active pulse holding a value the good circuit
-  /// does not (end-of-run latent classification; transient mode only).
-  bool hasDivergence(CircuitId c) const;
+  /// Per machine i (circuit i+1): true when its state currently differs
+  /// from the good circuit anywhere — a record whose value differs from the
+  /// node's good state, or an active pulse holding a value the good circuit
+  /// does not. One sweep over the table answers every machine (end-of-run
+  /// latent classification; transient mode only).
+  std::vector<bool> divergentMachines() const;
 
   // --- fine-grained control (equivalence tests, examples) -----------------
 
@@ -270,8 +272,9 @@ class ConcurrentFaultSimulator {
   SettleResult applySetting(std::span<const std::pair<NodeId, State>> assignments);
 
   /// Observes the outputs, records detections against `patternIndex`, and
-  /// drops newly detected circuits (if enabled). Returns number of new
-  /// detections.
+  /// drops newly detected circuits (if enabled): their overlays and seeds go
+  /// at once, their records in one sweep over the nodes that hold any.
+  /// Returns number of new detections.
   std::uint32_t observe(const std::vector<NodeId>& outputs,
                         std::uint32_t patternIndex);
 
@@ -330,7 +333,6 @@ class ConcurrentFaultSimulator {
   void processGoodPhase(bool coerce);
   void processFaultyCircuit(CircuitId c, bool coerce);
   void collectTriggers(std::span<const NodeId> members);
-  void dropCircuit(CircuitId c);
   void removeOverlay(CircuitId c);
 
   // --- transient (SEU) machinery (transientMode_ only) ---------------------
@@ -437,22 +439,12 @@ class ConcurrentFaultSimulator {
 
   std::vector<std::uint8_t> alive_;        // [0..F], alive_[0] unused
   std::vector<std::int32_t> detectedAt_;   // per fault index
-  std::vector<std::vector<NodeId>> touched_;  // per circuit: nodes with records
-  // Compaction threshold per circuit: touched_ is append-only on record
-  // insert (erases leave stale entries behind), so a long-lived circuit that
-  // keeps diverging and reconverging would grow it without bound — linear in
-  // the sequence length for never-definitely-detected faults. When the list
-  // reaches the threshold it is deduplicated and filtered to nodes that
-  // still hold a record, and the threshold doubles from the live size:
-  // amortized O(1) per insert, size bounded by the circuit's live records.
-  std::vector<std::uint32_t> touchedCap_;
-  void touchedInsert(CircuitId c, NodeId n);
-  void compactTouched(CircuitId c);
   std::vector<std::uint32_t> watchCount_;  // per node: trigger sources landing here
   // Per node: #divergence records + #stuck overlays. Zero means every faulty
   // circuit agrees with the (pre-phase) good circuit here, which lets the
   // faulty-view state lookup skip both overlay and record searches — the
-  // common case for the tens of millions of stateIn calls per run.
+  // common case for the tens of millions of stateIn calls per run — and
+  // lets observe's drop sweep skip the node.
   std::vector<std::uint32_t> divCount_;
 
   // Good-circuit event queue (next phase).

@@ -140,10 +140,12 @@ FaultSimResult DiffOracle::runBackend(const Network& net,
 std::optional<Divergence> DiffOracle::diverges(const Network& net,
                                                const FaultList& faults,
                                                const TestSequence& seq,
-                                               std::uint32_t& runs) const {
+                                               std::uint32_t& runs,
+                                               std::uint32_t* referenceDetected) const {
   ++runs;
   const FaultSimResult ref =
       runBackend(net, faults, seq, Backend::Serial, 1, nullptr);
+  if (referenceDetected != nullptr) *referenceDetected = ref.numDetected;
   // diffResults deliberately skips work counters (serial evaluates
   // differently by construction), but within the concurrent family
   // totalNodeEvals is deterministic and shard invariant — compare every
@@ -193,11 +195,13 @@ OracleReport DiffOracle::check(const Network& net, const FaultList& faults,
                                const TestSequence& seq, std::uint64_t seed) {
   OracleReport rep;
   rep.seed = seed;
+  rep.dropDetected = options_.dropDetected;
   rep.numPatterns = seq.size();
   rep.faultIndices.resize(faults.size());
   for (std::uint32_t i = 0; i < faults.size(); ++i) rep.faultIndices[i] = i;
 
-  auto first = diverges(net, faults, seq, rep.checkRuns);
+  auto first =
+      diverges(net, faults, seq, rep.checkRuns, &rep.referenceDetected);
   if (!first) {
     rep.ok = true;
     return rep;

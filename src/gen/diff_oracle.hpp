@@ -69,6 +69,11 @@ struct OracleReport {
   std::uint32_t numPatterns = 0;
   /// Cross-backend comparison runs performed (1 check + shrinking).
   std::uint32_t checkRuns = 0;
+  /// Faults the serial reference detected on the unshrunk workload, and
+  /// whether detected faults were dropped (OracleOptions::dropDetected).
+  /// Only a workload with both exercises the engines' drop path.
+  std::uint32_t referenceDetected = 0;
+  bool dropDetected = false;
 
   /// Multi-line human report ("OK ..." / "DIVERGENCE ... minimized: ...").
   std::string summary() const;
@@ -100,11 +105,11 @@ class DiffOracle {
                             const TestSequence& seq, Backend backend,
                             unsigned jobs, std::string* backendName,
                             bool stream = false) const;
-  /// One full serial-vs-all-comparands comparison.
-  std::optional<Divergence> diverges(const Network& net,
-                                     const FaultList& faults,
-                                     const TestSequence& seq,
-                                     std::uint32_t& runs) const;
+  /// One full serial-vs-all-comparands comparison. `referenceDetected`
+  /// (optional out) receives the serial reference's detection count.
+  std::optional<Divergence> diverges(
+      const Network& net, const FaultList& faults, const TestSequence& seq,
+      std::uint32_t& runs, std::uint32_t* referenceDetected = nullptr) const;
 
   OracleOptions options_;
 };

@@ -44,10 +44,12 @@ struct Group {
   std::vector<std::uint32_t> indices;
 };
 
-Outcome classify(const ConcurrentFaultSimulator& sim, std::uint32_t machine,
-                 const FaultSimResult& res) {
+/// Outcome of machine `machine` of a finished group engine; `divergent` is
+/// that engine's divergentMachines().
+Outcome classify(const FaultSimResult& res, const std::vector<bool>& divergent,
+                 std::uint32_t machine) {
   if (res.detectedAtPattern[machine] >= 0) return Outcome::Detected;
-  return sim.hasDivergence(machine + 1) ? Outcome::Latent : Outcome::Silent;
+  return divergent[machine] ? Outcome::Latent : Outcome::Silent;
 }
 
 }  // namespace
@@ -135,7 +137,8 @@ CampaignResult runSeuCampaign(const Network& net, const TestSequence& seq,
           const TransientFault spec = campaign[i];
           const FaultSimResult res =
               sim.runTransient(seq, std::span<const TransientFault>(&spec, 1));
-          result.injections[i].outcome = classify(sim, 0, res);
+          result.injections[i].outcome =
+              classify(res, sim.divergentMachines(), 0);
           result.injections[i].detectedAtPattern = res.detectedAtPattern[0];
           nodeEvals.fetch_add(res.totalNodeEvals);
         } else {
@@ -147,9 +150,10 @@ CampaignResult runSeuCampaign(const Network& net, const TestSequence& seq,
               net, static_cast<std::uint32_t>(specs.size()), engineOpts,
               ck.get(), g.atPattern);
           const FaultSimResult res = sim.runTransientTail(specs);
+          const std::vector<bool> divergent = sim.divergentMachines();
           for (std::uint32_t k = 0; k < g.indices.size(); ++k) {
             const std::uint32_t i = g.indices[k];
-            result.injections[i].outcome = classify(sim, k, res);
+            result.injections[i].outcome = classify(res, divergent, k);
             result.injections[i].detectedAtPattern = res.detectedAtPattern[k];
           }
           nodeEvals.fetch_add(res.totalNodeEvals);

@@ -138,18 +138,78 @@ TEST(ConcurrentBasicTest, ObservationDetectsAndDrops) {
 
 TEST(ConcurrentBasicTest, DroppedCircuitRecordsAreErased) {
   InvChain f;
+  {
+    FaultList faults;
+    faults.add(Fault::nodeStuckAt(f.net, f.mid, State::S0));
+    ConcurrentFaultSimulator sim(f.net, faults);
+    InputSetting s = f.rails();
+    s.set(f.in, State::S0);
+    sim.applySetting(s.span());
+    EXPECT_GE(sim.recordCount(), 1u);
+    sim.observe({f.out}, 0);
+    EXPECT_EQ(sim.recordCount(), 0u);
+    EXPECT_FALSE(sim.alive(1));
+  }
+
+  // One observe detects circuits 1 and 3 at once while circuit 2 holds
+  // records on the same nodes (mid, out) and survives the drop sweep.
+  TransId pullup;
+  for (const TransId t : f.net.node(f.mid).channelOf) {
+    if (f.net.transistor(t).type == TransistorType::DType) pullup = t;
+  }
+  ASSERT_TRUE(pullup.valid());
   FaultList faults;
-  faults.add(Fault::nodeStuckAt(f.net, f.mid, State::S0));
+  faults.add(Fault::nodeStuckAt(f.net, f.mid, State::S0));  // 1: out = 1
+  // 2: mid floats while in = 0 (X at first, then whatever in = 1 left).
+  faults.add(Fault::transistorStuckOpen(f.net, pullup));
+  faults.add(Fault::nodeStuckAt(f.net, f.in, State::S1));  // 3: mid 0, out 1
   ConcurrentFaultSimulator sim(f.net, faults);
-  InputSetting s = f.rails();
-  s.set(f.in, State::S0);
-  sim.applySetting(s.span());
-  EXPECT_GE(sim.recordCount(), 1u);
-  sim.observe({f.out}, 0);
-  EXPECT_EQ(sim.recordCount(), 0u);
-  // After dropping, faultyState falls back to... the stuck table still
-  // exists but the circuit is dead; callers check alive() first.
+  const std::vector<NodeId> nodes = {f.in, f.mid, f.out};
+  const auto divergingNodes = [&](CircuitId c) {
+    std::uint32_t count = 0;
+    for (const NodeId n : nodes) {
+      if (sim.faultyState(n, c) != sim.goodState(n)) ++count;
+    }
+    return count;
+  };
+  const auto apply = [&](State in) {
+    InputSetting s = f.rails();
+    s.set(f.in, in);
+    sim.applySetting(s.span());
+  };
+
+  apply(State::S0);
+  ASSERT_EQ(sim.faultyState(f.mid, 2), State::SX);
+  ASSERT_EQ(sim.faultyState(f.out, 2), State::SX);
+  ASSERT_EQ(sim.faultyState(f.mid, 3), State::S0);
+  ASSERT_EQ(sim.faultyState(f.out, 3), State::S1);
+  ASSERT_EQ(sim.recordCount(), 5u);  // 1: out; 2: mid, out; 3: mid, out
+  const std::uint32_t survivorRecords = divergingNodes(2);
+  ASSERT_EQ(survivorRecords, 2u);
+
+  EXPECT_EQ(sim.observe({f.out}, 0), 2u);  // X in circuit 2: potential only
   EXPECT_FALSE(sim.alive(1));
+  EXPECT_TRUE(sim.alive(2));
+  EXPECT_FALSE(sim.alive(3));
+  EXPECT_EQ(divergingNodes(1), 0u);
+  EXPECT_EQ(divergingNodes(3), 0u);
+  EXPECT_EQ(sim.recordCount(), survivorRecords);
+  EXPECT_EQ(sim.faultyState(f.mid, 2), State::SX);
+  EXPECT_EQ(sim.faultyState(f.out, 2), State::SX);
+
+  // in = 1 pulls mid low in circuit 2 too; in = 0 then leaves it floating
+  // at 0 while the good mid rises: out differs definitely.
+  apply(State::S1);
+  EXPECT_EQ(sim.observe({f.out}, 1), 0u);
+  EXPECT_EQ(sim.recordCount(), 0u);
+  apply(State::S0);
+  EXPECT_EQ(sim.faultyState(f.mid, 2), State::S0);
+  EXPECT_EQ(sim.observe({f.out}, 2), 1u);
+  EXPECT_EQ(sim.detectedAtPattern(0), 0);
+  EXPECT_EQ(sim.detectedAtPattern(1), 2);
+  EXPECT_EQ(sim.detectedAtPattern(2), 0);
+  EXPECT_EQ(sim.recordCount(), 0u);
+  EXPECT_EQ(sim.aliveCount(), 0u);
 }
 
 TEST(ConcurrentBasicTest, StuckInputIgnoresStimulus) {

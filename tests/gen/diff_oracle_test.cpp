@@ -58,6 +58,8 @@ TEST(DiffOracleTest, HandBuiltCircuitPassesTheOracle) {
   DiffOracle oracle;
   const OracleReport rep = oracle.check(sr.net, faults, seq, /*seed=*/0);
   EXPECT_TRUE(rep.ok) << rep.summary();
+  EXPECT_TRUE(rep.dropDetected);
+  EXPECT_GT(rep.referenceDetected, 0u);
 }
 
 TEST(DiffOracleTest, InjectedConcurrentBugIsCaughtAndMinimized) {

@@ -7,6 +7,7 @@
 // on trial here.
 #include <gtest/gtest.h>
 
+#include "circuits/cells.hpp"
 #include "circuits/ram.hpp"
 #include "gen/random_circuit.hpp"
 #include "gen/transient_gen.hpp"
@@ -212,6 +213,92 @@ TEST(SeuOracleTest, OutcomesArePlausible) {
                 w.seq.size());
     } else {
       EXPECT_EQ(r.detectedAtPattern, -1);
+    }
+  }
+}
+
+// Naive and replay share the classifier, so their equality cannot catch a
+// classification bug; this pins each injection's outcome on a hand-built
+// circuit instead. in -> pass(clk) -> latch -> INV -> out (observed);
+// in -> pass(wr) -> hidden (read by nothing); in -> INV -> mid (read by
+// nothing, re-driven). Pattern 0 writes 1 into latch and hidden, pattern 1
+// closes both pass gates and drives in = 0, patterns 2 and 3 toggle in.
+TEST(SeuOracleTest, ClassifiesHandBuiltInjections) {
+  NetworkBuilder b;
+  NmosCells cells(b);
+  const NodeId in = b.addInput("in");
+  const NodeId clk = b.addInput("clk");
+  const NodeId wr = b.addInput("wr");
+  const NodeId latch = cells.dynamicLatch(in, clk, "latch");
+  const NodeId out = cells.inverter(latch, "out");
+  const NodeId hidden = cells.dynamicLatch(in, wr, "hidden");
+  const NodeId mid = cells.inverter(in, "mid");
+  const Network net = b.build();
+
+  TestSequence seq;
+  seq.addOutput(out);
+  const auto addPattern = [&](std::vector<InputSetting> settings) {
+    Pattern p;
+    p.settings = std::move(settings);
+    seq.addPattern(std::move(p));
+  };
+  const auto setting =
+      [](std::initializer_list<std::pair<NodeId, State>> values) {
+        InputSetting s;
+        for (const auto& [n, v] : values) s.set(n, v);
+        return s;
+      };
+  addPattern({setting({{net.nodeByName("Vdd"), State::S1},
+                       {net.nodeByName("Gnd"), State::S0},
+                       {in, State::S1},
+                       {clk, State::S1},
+                       {wr, State::S1}})});
+  addPattern({setting({{clk, State::S0}, {wr, State::S0}}),
+              setting({{in, State::S0}})});
+  addPattern({setting({{in, State::S1}})});
+  addPattern({setting({{in, State::S0}})});
+
+  struct Expected {
+    TransientFault fault;
+    Outcome outcome;
+    std::int32_t detectedAt;
+  };
+  const std::vector<Expected> expected = {
+      // The stored 1 flips to 0: out reads 1 at pattern 2.
+      {TransientFault::flipAt(net, latch, 1), Outcome::Detected, 2},
+      // The stored 1 flips to 0 and nothing ever reads it.
+      {TransientFault::flipAt(net, hidden, 1), Outcome::Latent, -1},
+      // The inverter re-drives mid at once.
+      {TransientFault::flipAt(net, mid, 1), Outcome::Silent, -1},
+      // Still holding 0 at the end, where the good mid is 1.
+      {TransientFault::flipAt(net, mid, 1, 5), Outcome::Latent, -1},
+      // Still holding 1 at the end, where the good mid is 1 too.
+      {TransientFault::flipAt(net, mid, 2, 5), Outcome::Silent, -1},
+      // Flipped after the last observation: out differs but is never read.
+      {TransientFault::flipAt(net, latch, 3), Outcome::Latent, -1},
+  };
+  TransientList campaign;
+  for (const Expected& e : expected) campaign.push_back(e.fault);
+
+  const auto check = [&](const CampaignResult& res, const char* mode) {
+    ASSERT_EQ(res.injections.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(res.injections[i].outcome, expected[i].outcome)
+          << mode << ": " << expected[i].fault.name;
+      EXPECT_EQ(res.injections[i].detectedAtPattern, expected[i].detectedAt)
+          << mode << ": " << expected[i].fault.name;
+    }
+    EXPECT_EQ(res.numDetected, 1u) << mode;
+    EXPECT_EQ(res.numLatent, 3u) << mode;
+    EXPECT_EQ(res.numSilent, 2u) << mode;
+  };
+  for (const unsigned jobs : {1u, 2u}) {
+    for (const bool naive : {false, true}) {
+      CampaignOptions o;
+      o.jobs = jobs;
+      o.naive = naive;
+      SCOPED_TRACE(::testing::Message() << "jobs " << jobs);
+      check(runSeuCampaign(net, seq, campaign, o), naive ? "naive" : "replay");
     }
   }
 }
